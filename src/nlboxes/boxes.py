@@ -15,6 +15,7 @@ so double precision keeps rounding error orders of magnitude below it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -155,28 +156,44 @@ class NonSignalingCheck(NamedTuple):
     residual: float
 
 
+def check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite non-negative number."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check that every row of the box is a probability distribution.
 
     Returns a report listing each violated constraint with its residual;
-    an empty report means the box is valid within ``tol``.
+    an empty report means the box is valid within ``tol``. A NaN or
+    infinite entry is a violation of its own, and its row sum is not
+    checked. Raises ``ValueError`` for a negative or non-finite ``tol``.
     """
+    check_tol(tol)
+    m = box.matrix
+    # Fast accept; min and max propagate NaN, so a non-finite entry falls through.
+    if -tol <= np.minimum.reduce(m, axis=None) and np.maximum.reduce(m, axis=None) <= 1.0 + tol:
+        if np.maximum.reduce(np.abs(np.add.reduce(m, axis=1) - 1.0)) <= tol:
+            return ValidationReport(())
+    finite = np.isfinite(m)
+    bad_entry = ~finite | (m < -tol) | (m > 1.0 + tol)
+    with np.errstate(invalid="ignore"):  # a row may hold both +inf and -inf
+        off = np.abs(np.add.reduce(m, axis=1) - 1.0)
+    bad_sum = finite.all(axis=1) & (off > tol)
     violations: list[Violation] = []
     for r in range(4):
-        row = box.matrix[r]
-        for c in range(4):
-            v = row[c]
-            if v < -tol:
-                violations.append(
-                    Violation(f"row xy={XY_LABELS[r]} col ab={AB_LABELS[c]}", "negative entry", float(-v))
-                )
-            elif v > 1.0 + tol:
-                violations.append(
-                    Violation(f"row xy={XY_LABELS[r]} col ab={AB_LABELS[c]}", "entry exceeds 1", float(v - 1.0))
-                )
-        s = float(row.sum())
-        if abs(s - 1.0) > tol:
-            violations.append(Violation(f"row xy={XY_LABELS[r]}", "row sum != 1", abs(s - 1.0)))
+        for c in np.flatnonzero(bad_entry[r]):
+            v = float(m[r, c])
+            where = f"row xy={XY_LABELS[r]} col ab={AB_LABELS[c]}"
+            if not finite[r, c]:
+                violations.append(Violation(where, "non-finite entry", abs(v)))
+            elif v < -tol:
+                violations.append(Violation(where, "negative entry", -v))
+            else:
+                violations.append(Violation(where, "entry exceeds 1", v - 1.0))
+        if bad_sum[r]:
+            violations.append(Violation(f"row xy={XY_LABELS[r]}", "row sum != 1", float(off[r])))
     return ValidationReport(tuple(violations))
 
 

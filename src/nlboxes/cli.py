@@ -14,6 +14,7 @@ from . import distill, games, quantum, search, symmetry
 from .boxes import (
     DEFAULT_TOL,
     Box,
+    Correlators,
     chsh_csv,
     chsh_values,
     correlators,
@@ -23,9 +24,10 @@ from .boxes import (
     p_eps_delta,
     validate,
     CHSH_LABELS,
+    check_tol,
 )
+from .wiring import MAX_XOR_COPIES
 
-MAX_CLI_XOR_DEPTH = 16
 DEFAULT_CLI_XOR_DEPTH = 10
 
 
@@ -58,6 +60,15 @@ def _require_valid_ns(box: Box, tol: float) -> None:
     check = is_non_signaling(box, tol)
     if not check.ok:
         raise _CliFailure(1, f"box is signaling: worst marginal discrepancy {check.residual:.3g}")
+
+
+def _tol(text: str) -> float:
+    try:
+        value = float(text)
+        check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
 
 
 def _parse_range(text: str) -> list[int]:
@@ -114,12 +125,10 @@ def _cmd_quantum(args) -> int:
         if len(parts) != 4:
             raise _CliFailure(2, "--correlators needs four comma-separated values")
         try:
-            from .boxes import Correlators
-
             c = Correlators(*(float(p) for p in parts))
-        except ValueError:
-            raise _CliFailure(2, f"bad correlator values: {args.correlators!r}")
-        ok, slack = quantum.is_quantum_correlators(c, args.tol)
+            ok, slack = quantum.is_quantum_correlators(c, args.tol)
+        except ValueError as exc:
+            raise _CliFailure(2, f"bad correlator values {args.correlators!r}: {exc}")
         tsi = quantum.tsirelson_check(c, args.tol)
         flagged = False
     else:
@@ -148,10 +157,10 @@ def _cmd_quantum(args) -> int:
 def _cmd_distill(args) -> int:
     n_values = _parse_range(args.n)
     cap = args.max_n
-    if cap > MAX_CLI_XOR_DEPTH:
-        raise _CliFailure(2, f"--max-n cannot exceed {MAX_CLI_XOR_DEPTH}")
+    if cap > MAX_XOR_COPIES:
+        raise _CliFailure(2, f"--max-n cannot exceed {MAX_XOR_COPIES}")
     if max(n_values) > cap:
-        raise _CliFailure(2, f"n up to {max(n_values)} exceeds the cap {cap}; raise --max-n (max {MAX_CLI_XOR_DEPTH})")
+        raise _CliFailure(2, f"n up to {max(n_values)} exceeds the cap {cap}; raise --max-n (max {MAX_XOR_COPIES})")
     if args.family == "eps" and args.delta != 0.0:
         raise _CliFailure(2, "--family eps does not take --delta")
     delta = args.delta
@@ -227,8 +236,8 @@ def _cmd_game(args) -> int:
             raise _CliFailure(2, str(exc))
     else:
         raise _CliFailure(2, "game needs a box file or --eps")
-    if args.m > MAX_CLI_XOR_DEPTH:
-        raise _CliFailure(2, f"--m cannot exceed {MAX_CLI_XOR_DEPTH}")
+    if args.m > MAX_XOR_COPIES:
+        raise _CliFailure(2, f"--m cannot exceed {MAX_XOR_COPIES}")
     result = games.play_and_game(resource, args.m, args.tol)
     if args.format == "json":
         print(json.dumps(result.to_json_dict()))
@@ -249,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, fmt=("table", "csv", "json")) -> None:
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="global numeric tolerance")
+        p.add_argument("--tol", type=_tol, default=DEFAULT_TOL, help="global numeric tolerance")
         p.add_argument("--format", choices=fmt, default=fmt[0])
 
     p = sub.add_parser("validate", help="check a box file for validity and non-signaling")
     p.add_argument("box")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("chsh", help="correlators, the eight CHSH values, and NL")
@@ -274,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--n", required=True, help="copy count, N or LO..HI")
     p.add_argument("--max-n", type=int, default=DEFAULT_CLI_XOR_DEPTH,
-                   help=f"cap on brute-force depth (default {DEFAULT_CLI_XOR_DEPTH}, max {MAX_CLI_XOR_DEPTH})")
+                   help=f"cap on brute-force depth (default {DEFAULT_CLI_XOR_DEPTH}, max {MAX_XOR_COPIES})")
     common(p)
     p.set_defaults(func=_cmd_distill)
 
@@ -293,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depolarize", help="project a box onto the isotropic line, preserving S")
     p.add_argument("box")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_depolarize)
 
     p = sub.add_parser("game", help="distributed AND game win rate of a resource")

@@ -26,8 +26,8 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
 def _arcsin(value: float, tol: float) -> float:
-    if abs(value) > 1.0 + tol:
-        raise ValueError(f"correlator magnitude {value!r} exceeds 1")
+    if not abs(value) <= 1.0 + tol:  # also rejects NaN
+        raise ValueError(f"correlator {value!r} is not in [-1, 1]")
     # Clamp so saturated tuples (e.g. all |X| = 1) cannot produce NaN.
     return math.asin(min(1.0, max(-1.0, value)))
 

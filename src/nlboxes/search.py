@@ -2,16 +2,22 @@
 
 There are 32768 raw strategies per party. Many are interchangeable: they
 induce the same composite box for every non-signaling resource. The dedup
-here is exact, not heuristic. Writing a non-signaling box as
-4*P(ab|xy) = 1 + (-1)^a m_x + (-1)^b w_y + (-1)^(a+b) X_xy turns each
-composite entry into a quadratic polynomial in the eight coordinates
-(m_0, m_1, w_0, w_1, X_00, X_01, X_10, X_11). For each party input, final
-output, and combination of partner-side box outcomes and inputs, we record
-the integer coefficient matrix of that polynomial; strategies with equal
-coefficient tables are behaviorally identical and collapse to the one with
-the smallest encoding. This also removes strategies that ignore a box end
-(the ignored end's marginal is input independent) and order swaps of
-non-adaptive plans.
+here is exact, not heuristic. A strategy enters every composite only
+through its 0/1 tensor u over (party input, final bit) x (box outcomes,
+box inputs). Split u into four blocks, one per (party input, final bit),
+and read each block as a 4x4 matrix B over (a1, x1) x (a2, x2), with
+(a, x) at index 2*a + x. A composite entry contracts B with the two
+copies' tables P(a1 b1|x1 y1) P(a2 b2|x2 y2), each read as a vector over
+the party's own (a, x). No-signaling says exactly that every such vector
+satisfies e(0,0) + e(1,0) = e(0,1) + e(1,1): summing over a removes x. So
+each vector is K c for the 4x3 integer basis K of that relation's
+orthogonal complement, and B enters only through the 3x3 matrix K^T B K.
+The key is those four matrices, 36 small integers per code: equal keys
+give identical composites on every non-signaling resource. Codes with
+equal keys collapse to the one with the smallest encoding; the resulting
+6212 classes are pinned by a digest in the tests. This also removes
+strategies that ignore a box end (the ignored end's marginal is input
+independent) and order swaps of non-adaptive plans.
 
 The pair scan is a tensor contraction: a strategy enters the composite
 only through a 0/1 tensor over (party input, final bit) x (box outcomes,
@@ -78,76 +84,44 @@ def _branches(tables, x: int, a1: int, a2: int) -> tuple[np.ndarray, np.ndarray,
 
 
 @lru_cache(maxsize=1)
-def _affine_table() -> np.ndarray:
-    """Coefficients of 4*P(ab|xy) over (1, m_0, m_1, w_0, w_1, X_00..X_11)."""
-    aff = np.zeros((2, 2, 2, 2, 9), dtype=np.int8)
-    for a, b, x, y in product(range(2), repeat=4):
-        vec = aff[a, b, x, y]
-        vec[0] = 1
-        vec[1 + x] = 1 if a == 0 else -1
-        vec[3 + y] = 1 if b == 0 else -1
-        vec[5 + 2 * x + y] = 1 if a == b else -1
-    return aff
-
-
-def _signatures(codes: np.ndarray) -> np.ndarray:
-    """Exact behavioral signature rows, one per strategy code."""
-    n = len(codes)
+def _u_tensor() -> np.ndarray:
+    """0/1 tensor of every raw code: (code, party input x final bit, outcomes x inputs)."""
+    codes = np.arange(RAW_STRATEGY_COUNT)
     tables = _strategy_tables(codes)
-    aff = _affine_table()
-    idx = np.arange(n)
-    sig = np.zeros((n, 2, 2, 16, 9, 9), dtype=np.int8)
+    u = np.zeros((RAW_STRATEGY_COUNT, 4, 16), dtype=np.int8)
     for x in (0, 1):
         for a1 in (0, 1):
             for a2 in (0, 1):
                 x1, x2, a_out = _branches(tables, x, a1, a2)
-                f1 = np.moveaxis(aff[a1][:, x1, :, :], 1, 0)
-                f2 = np.moveaxis(aff[a2][:, x2, :, :], 1, 0)
-                outer = np.einsum("nbyi,nczj->nbyczij", f1, f2).reshape(n, 16, 9, 9)
-                for val in (0, 1):
-                    mask = a_out == val
-                    sig[mask, x, val] += outer[mask]
-    # Same polynomial iff same symmetrized coefficient matrix.
-    for i in range(9):
-        sig[..., i, i] *= 2
-    for i in range(9):
-        for j in range(i + 1, 9):
-            s = sig[..., i, j] + sig[..., j, i]
-            sig[..., i, j] = s
-            sig[..., j, i] = s
-    return sig.reshape(n, -1)
+                u[codes, 2 * x + a_out, (a1 * 2 + a2) * 4 + x1 * 2 + x2] = 1
+    return u
+
+
+# Basis of the (a, x) vectors orthogonal to the non-signaling relation
+# e(0,0) + e(1,0) = e(0,1) + e(1,1), with (a, x) at index 2*a + x.
+_NS_BASIS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
 
 
 @dataclass(frozen=True)
 class _Dedup:
-    rep_codes: np.ndarray  # sorted representative encodings
+    rep_codes: np.ndarray  # class id -> smallest encoding, ascending
     class_of_code: np.ndarray  # raw code -> class id
-    min_code_of_class: np.ndarray  # class id -> smallest encoding
 
 
 @lru_cache(maxsize=1)
 def _dedup() -> _Dedup:
-    codes = np.arange(RAW_STRATEGY_COUNT)
-    sig = np.ascontiguousarray(_signatures(codes))
-    class_ids: dict[bytes, int] = {}
-    class_of_code = np.empty(RAW_STRATEGY_COUNT, dtype=np.int32)
-    first_codes: list[int] = []
-    # Codes scan in ascending order, so the first occurrence of a class is
-    # its smallest encoding; bytes equality is exact row equality.
-    for code in range(RAW_STRATEGY_COUNT):
-        key = sig[code].tobytes()
-        cid = class_ids.get(key)
-        if cid is None:
-            cid = len(first_codes)
-            class_ids[key] = cid
-            first_codes.append(code)
-        class_of_code[code] = cid
-    first_idx = np.array(first_codes, dtype=np.int32)
-    return _Dedup(
-        rep_codes=first_idx.copy(),
-        class_of_code=class_of_code,
-        min_code_of_class=first_idx,
+    u = _u_tensor()
+    # Each (party input, final bit) block as a matrix over (a1, x1) x (a2, x2).
+    blocks = u.reshape(-1, 4, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4, 4)
+    keys = np.ascontiguousarray(_NS_BASIS.T @ blocks @ _NS_BASIS).reshape(RAW_STRATEGY_COUNT, 36)
+    _, first, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_index=True, return_inverse=True
     )
+    # np.unique numbers classes in key order; renumber them by smallest code.
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return _Dedup(rep_codes=first[order].astype(np.int32), class_of_code=rank[inverse.ravel()])
 
 
 def behavior_key(strategy: AdaptiveStrategy) -> int:
@@ -159,7 +133,7 @@ def behavior_key(strategy: AdaptiveStrategy) -> int:
 def canonical_strategy(strategy: AdaptiveStrategy) -> AdaptiveStrategy:
     """Smallest-encoding strategy with identical observable behavior."""
     dedup = _dedup()
-    return AdaptiveStrategy.decode(int(dedup.min_code_of_class[dedup.class_of_code[strategy.encode()]]))
+    return AdaptiveStrategy.decode(int(dedup.rep_codes[dedup.class_of_code[strategy.encode()]]))
 
 
 def enumerate_strategies() -> list[AdaptiveStrategy]:
@@ -174,17 +148,7 @@ def behavior_class_count() -> int:
 @lru_cache(maxsize=1)
 def _rep_u_matrix() -> np.ndarray:
     """0/1 tensor of each representative: (class, party input x final, outcomes x inputs)."""
-    codes = _dedup().rep_codes.astype(np.int64)
-    tables = _strategy_tables(codes)
-    n = len(codes)
-    u = np.zeros((n, 4, 16))
-    idx = np.arange(n)
-    for x in (0, 1):
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                x1, x2, a_out = _branches(tables, x, a1, a2)
-                u[idx, 2 * x + a_out, (a1 * 2 + a2) * 4 + x1 * 2 + x2] = 1.0
-    return u
+    return _u_tensor()[_dedup().rep_codes].astype(float)
 
 
 def _box_kernel(matrix: np.ndarray) -> np.ndarray:
@@ -215,10 +179,11 @@ class SearchResult:
     strategies_raw: int
     strategies_deduped: int
     wall_time_s: float
+    tol: float = DEFAULT_TOL  # the tolerance the search ran under
 
     @property
     def distilled(self) -> bool:
-        return self.nl_out > self.nl_in + 1e-12
+        return self.nl_out > self.nl_in + self.tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,13 +206,7 @@ def pair_nl_values(box: Box, alice: AdaptiveStrategy, tol: float = DEFAULT_TOL) 
     require_non_signaling(box, tol)
     u = _rep_u_matrix()
     k = _box_kernel(box.matrix)
-    tables = _strategy_tables(np.array([alice.encode()]))
-    ua = np.zeros((4, 16))
-    for x in (0, 1):
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                x1, x2, a_out = _branches(tables, x, a1, a2)
-                ua[2 * x + int(a_out[0]), (a1 * 2 + a2) * 4 + int(x1[0]) * 2 + int(x2[0])] = 1.0
+    ua = _u_tensor()[alice.encode()]
     t = ua @ k  # (4, 16)
     g = np.einsum("kab,am->kbm", _chsh_weights(), t).reshape(8, 64)
     return (u.reshape(len(u), 64) @ g.T).max(axis=1)
@@ -315,4 +274,5 @@ def search_2copy(
         strategies_raw=RAW_STRATEGY_COUNT,
         strategies_deduped=n_reps,
         wall_time_s=time.perf_counter() - started,
+        tol=tol,
     )

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
 import nlboxes as nb
+from nlboxes import search
 from nlboxes.search import pair_nl_values
 from conftest import random_ns_box
 
@@ -26,6 +28,30 @@ def test_dedup_shrinks_and_keeps_reps_sorted():
     codes = [s.encode() for s in strategies]
     assert codes == sorted(codes)
     assert len(set(codes)) == count
+
+
+# sha256 of class_of_code as little-endian int32: the exact partition of the
+# 32768 raw strategies into behavior classes, numbered by smallest code.
+CLASS_OF_CODE_SHA256 = "c4c1a1b66bfb64391780f937271569096f8759b07d51ac12d4c5d6861aaaf589"
+
+
+def test_partition_is_pinned():
+    dedup = search._dedup()
+    assert nb.behavior_class_count() == 6212
+    assert hashlib.sha256(dedup.class_of_code.astype("<i4").tobytes()).hexdigest() == CLASS_OF_CODE_SHA256
+    assert np.array_equal(dedup.class_of_code[dedup.rep_codes], np.arange(6212))
+
+
+def test_canonical_strategy_is_a_fixed_point():
+    codes = np.random.default_rng(7).integers(0, nb.RAW_STRATEGY_COUNT, size=500)
+    reps = set(search._dedup().rep_codes.tolist())
+    for code in codes:
+        strat = nb.AdaptiveStrategy.decode(int(code))
+        canon = nb.canonical_strategy(strat)
+        assert nb.canonical_strategy(canon) == canon
+        assert nb.behavior_key(canon) == nb.behavior_key(strat)
+        assert canon.encode() <= strat.encode()
+        assert canon.encode() in reps
 
 
 def test_xor_strategy_is_represented():
@@ -99,6 +125,14 @@ def test_search_never_below_xor_baseline(rng):
         result = nb.search_2copy(box)
         assert result.nl_out >= baseline - TOL
         assert result.nl_out >= result.nl_in - TOL  # identity-like wirings exist
+
+
+def test_distilled_uses_the_search_tolerance():
+    # p_eps(0.1) gains 0.16 (2.2 -> 2.36): a gain, but not one above 0.2.
+    result = nb.search_2copy(nb.p_eps(0.1), tol=0.2)
+    assert result.tol == 0.2
+    assert result.nl_out - result.nl_in == pytest.approx(0.16, abs=1e-9)
+    assert not result.distilled
 
 
 def test_search_noise_stays_local():
