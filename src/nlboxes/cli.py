@@ -190,6 +190,8 @@ def _cmd_optimize(args) -> int:
         )
     except distill.InfeasibleRegionError as exc:
         raise _CliFailure(1, str(exc))
+    except ValueError as exc:
+        raise _CliFailure(2, str(exc))
     if args.format == "json":
         print(json.dumps({
             "n": opt.n,
@@ -206,12 +208,15 @@ def _cmd_optimize(args) -> int:
 def _cmd_search(args) -> int:
     box = _load_box(args.box)
     _require_valid_ns(box, args.tol)
-    result = search.search_2copy(box, tol=args.tol, jobs=args.jobs)
+    result = search.search_2copy(box, tol=args.tol)
     if args.format == "table":
         print(f"NL_in  {result.nl_in:.9g}")
         print(f"NL_out {result.nl_out:.9g} ({'distilled' if result.distilled else 'no gain'})")
         print(f"strategies: {result.strategies_raw} raw, {result.strategies_deduped} after dedup")
         print(f"wall time: {result.wall_time_s:.2f} s")
+        print(f"  kernel {result.kernel_s:.3f} s, scan {result.scan_s:.3f} s, verify {result.verify_s:.3f} s")
+        print(f"  scanned {result.alice_rows_scanned} Alice rows x {result.strategies_deduped} Bob classes"
+              f" = {result.pairs_scanned} pairs")
     else:
         print(json.dumps(result.to_json_dict()))
     return 0
@@ -236,8 +241,8 @@ def _cmd_game(args) -> int:
             raise _CliFailure(2, str(exc))
     else:
         raise _CliFailure(2, "game needs a box file or --eps")
-    if args.m > MAX_XOR_COPIES:
-        raise _CliFailure(2, f"--m cannot exceed {MAX_XOR_COPIES}")
+    if not 1 <= args.m <= MAX_XOR_COPIES:
+        raise _CliFailure(2, f"--m must be in 1..{MAX_XOR_COPIES}, got {args.m}")
     result = games.play_and_game(resource, args.m, args.tol)
     if args.format == "json":
         print(json.dumps(result.to_json_dict()))
@@ -296,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive two-copy wiring search")
     p.add_argument("box")
-    p.add_argument("--jobs", type=int, default=1)
     common(p, fmt=("json", "table"))
     p.set_defaults(func=_cmd_search)
 

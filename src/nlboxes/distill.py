@@ -215,10 +215,16 @@ def optimize_quantum_distillation(
     best cell is refined by nested 41x41 grids down to ``refine_to``
     parameter resolution. Ties break toward smaller n, then smaller eps,
     then smaller delta. Raises ``InfeasibleRegionError`` when nothing
-    satisfies the constraints (possible only under ``fixed_delta``).
+    satisfies the constraints (possible only under ``fixed_delta``), and
+    ``ValueError`` unless ``coarse_step`` is in (0, 1] and ``refine_to`` is
+    finite and positive, before any grid is built.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if not 0.0 < coarse_step <= 1.0:
+        raise ValueError(f"coarse_step must be in (0, 1], got {coarse_step}")
+    if not 0.0 < refine_to < np.inf:
+        raise ValueError(f"refine_to must be finite and > 0, got {refine_to}")
     eps = np.arange(coarse_step, 1.0 + coarse_step / 2.0, coarse_step)
     if fixed_delta is None:
         delta = np.arange(0.0, 1.0 + coarse_step / 2.0, coarse_step)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,37 @@ def test_optimize_json(capsys):
     assert payload["nl_out"] == pytest.approx(2.4142136, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--refine-to", "0"), ("--refine-to", "inf"), ("--coarse-step", "0"),
+     ("--coarse-step", "-0.1"), ("--coarse-step", "nan")],
+)
+def test_optimize_bad_steps_exit_two(flag, value, capsys):
+    assert run(["optimize", "--n-max", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
+
+
+def test_search_table_shows_phases_under_wall_time(tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text(nb.p_eps(0.1).to_json())
+    assert run(["search", str(path), "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("wall time:"))
+    assert all(f"{phase} " in lines[at + 1] for phase in ("kernel", "scan", "verify"))
+    assert "797 Alice rows x 6212 Bob classes = 4950964 pairs" in lines[at + 2]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    path = tmp_path / "box.json"
+    path.write_text(nb.p_eps(0.1).to_json())
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nlboxes", "search", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["nl_out"] == pytest.approx(2.36, abs=1e-9)
+
+
 def test_search_json(tmp_path, capsys):
     path = tmp_path / "iso.json"
     path.write_text(nb.isotropic(0.6).to_json())
@@ -170,3 +205,10 @@ def test_game_without_resource_exits_two(capsys):
 
 def test_game_depth_cap(capsys):
     assert run(["game", "--eps", "0.1", "--m", "99"]) == 2
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_game_depth_below_one_exits_two(m, capsys):
+    assert run(["game", "--eps", "0.1", "--m", m]) == 2
+    err = capsys.readouterr().err
+    assert err == f"--m must be in 1..16, got {m}\n"

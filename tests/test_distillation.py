@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nlboxes as nb
+from nlboxes import distill
 
 TOL = 1e-9
 CEILING = 1.0 + math.sqrt(2.0)
@@ -134,3 +135,28 @@ def test_optimizer_argument_errors():
         nb.optimize_quantum_distillation(n_max=1)
     with pytest.raises(ValueError):
         nb.optimize_quantum_distillation(n_max=3, fixed_delta=1.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"refine_to": 0.0},
+        {"refine_to": -1e-8},
+        {"refine_to": math.nan},
+        {"refine_to": math.inf},
+        {"coarse_step": 0.0},
+        {"coarse_step": -0.1},
+        {"coarse_step": 1.5},
+        {"coarse_step": math.nan},
+        {"coarse_step": math.inf},
+    ],
+)
+def test_optimizer_rejects_bad_steps_before_any_grid(kwargs, monkeypatch):
+    # A bad step used to loop forever or crash inside the grid; the check
+    # must come first, so any grid evaluation here is a failure.
+    def no_grid(*args):
+        raise AssertionError("grid evaluated before the arguments were checked")
+
+    monkeypatch.setattr(distill, "_grid_argmax", no_grid)
+    with pytest.raises(ValueError):
+        nb.optimize_quantum_distillation(n_max=2, **kwargs)

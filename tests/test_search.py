@@ -11,7 +11,8 @@ import pytest
 import nlboxes as nb
 from nlboxes import search
 from nlboxes.search import pair_nl_values
-from conftest import random_ns_box
+from nlboxes.symmetry import Relabeling, chsh_stabilizer
+from conftest import pr_variant, random_ns_box
 
 TOL = 1e-9
 
@@ -154,11 +155,90 @@ def test_search_results_are_deterministic():
     assert a.nl_out == b.nl_out
 
 
-def test_search_jobs_do_not_change_result():
-    a = nb.search_2copy(nb.p_eps(0.2), jobs=1)
-    b = nb.search_2copy(nb.p_eps(0.2), jobs=2)
-    assert a.wiring == b.wiring
-    assert a.nl_out == b.nl_out
+def test_search_chunking_does_not_change_result():
+    base = nb.search_2copy(nb.p_eps(0.2))
+    for chunk in (1, 7, 1000):
+        other = nb.search_2copy(nb.p_eps(0.2), chunk=chunk)
+        assert other.wiring == base.wiring
+        assert other.nl_out == base.nl_out
+
+
+def test_search_reports_phases_and_counters():
+    result = nb.search_2copy(nb.p_eps(0.1))
+    assert result.alice_rows_scanned == 797
+    assert result.pairs_scanned == 797 * 6212
+    phases = (result.kernel_s, result.scan_s, result.verify_s)
+    assert min(phases) >= 0.0
+    assert sum(phases) <= result.wall_time_s
+
+
+def test_chsh_stabilizer_covers_every_alice_relabeling():
+    # The scan's orbit argument: every Alice relabeling pairs with a Bob
+    # relabeling into one that keeps S fixed.
+    stabilizer = chsh_stabilizer()
+    assert len(stabilizer) == 8
+    assert {(r.flip_x, r.flip_a, r.a_flip_with_x) for r in stabilizer} == set(search._PARTY_RELABELINGS)
+    assert len(search._orbits().reps) == 797
+
+
+@pytest.mark.parametrize("alice_flips", search._PARTY_RELABELINGS)
+def test_party_relabeling_permutes_classes(alice_flips, rng):
+    perms = search._orbits().class_perms
+    alice_perm = perms[search._PARTY_RELABELINGS.index(alice_flips)]
+    assert np.array_equal(np.sort(alice_perm), np.arange(nb.behavior_class_count()))
+    strategies = nb.enumerate_strategies()
+    box = random_ns_box(rng)
+    for s, t in rng.integers(0, len(strategies), size=(3, 2)):
+        composite = nb.compose_wiring2(box, nb.Wiring2(strategies[s], strategies[t]))
+        for bob_flips, bob_perm in zip(search._PARTY_RELABELINGS, perms):
+            wiring = nb.Wiring2(strategies[alice_perm[s]], strategies[bob_perm[t]])
+            relabeled = nb.compose_wiring2(box, wiring)
+            expected = Relabeling(*alice_flips, *bob_flips).apply(composite)
+            assert np.max(np.abs(np.asarray(relabeled.matrix) - np.asarray(expected.matrix))) <= 1e-12
+
+
+def _dense_scan_winner(box: nb.Box) -> tuple[float, int, int]:
+    """All eight CHSH functionals over all class pairs: the best value and
+    the smallest class pair within 1e-12 of it."""
+    u = search._rep_u_matrix()
+    n = len(u)
+    flat_u = u.reshape(n, 64)
+    t = np.einsum("cam,mn->can", u, search._box_kernel(box.matrix))
+    g = np.einsum("kab,cam->ckbm", search._chsh_weights(), t).reshape(n, 8, 64)
+
+    def values(start: int) -> np.ndarray:
+        return (g[start:start + 64].reshape(-1, 64) @ flat_u.T).reshape(-1, 8, n).max(axis=1)
+
+    row_max = np.concatenate([values(start).max(axis=1) for start in range(0, n, 64)])
+    best = float(row_max.max())
+    si = int(np.argmax(row_max >= best - 1e-12))
+    ti = int(np.argmax(values(si - si % 64)[si % 64] >= best - 1e-12))
+    return best, si, ti
+
+
+def _nonlocal_random_box(seed: int) -> nb.Box:
+    # Best functional is not S, so the winner is mapped back through a relabeling.
+    mix = 0.7 * np.asarray(pr_variant(0, 1, 1).matrix)
+    return nb.Box(mix + 0.3 * np.asarray(random_ns_box(np.random.default_rng(seed)).matrix))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        nb.p_eps(0.1),
+        nb.isotropic(0.8),
+        nb.noise(),
+        random_ns_box(np.random.default_rng(5)),
+        _nonlocal_random_box(1),
+    ],
+    ids=["p_eps(0.1)", "isotropic(0.8)", "noise", "random_ns", "random_nonlocal"],
+)
+def test_search_matches_dense_eight_functional_scan(box):
+    best, si, ti = _dense_scan_winner(box)
+    result = nb.search_2copy(box)
+    assert abs(result.nl_out - best) <= 1e-12
+    strategies = nb.enumerate_strategies()
+    assert result.wiring == nb.Wiring2(strategies[si], strategies[ti])
 
 
 def test_search_composites_non_signaling(rng):
