@@ -15,6 +15,8 @@ from .boxes import (
     DEFAULT_TOL,
     Box,
     Correlators,
+    InvalidBoxError,
+    SignalingBoxError,
     chsh_csv,
     chsh_values,
     correlators,
@@ -22,6 +24,7 @@ from .boxes import (
     nl_correlators,
     p_eps,
     p_eps_delta,
+    require_non_signaling,
     validate,
     CHSH_LABELS,
     check_tol,
@@ -51,15 +54,6 @@ def _load_box(path: str) -> Box:
         return Box.from_json_dict(obj)
     except ValueError as exc:
         raise _CliFailure(2, f"bad box file {path}: {exc}")
-
-
-def _require_valid_ns(box: Box, tol: float) -> None:
-    report = validate(box, tol)
-    if not report.ok:
-        raise _CliFailure(1, "invalid box:\n" + report.describe())
-    check = is_non_signaling(box, tol)
-    if not check.ok:
-        raise _CliFailure(1, f"box is signaling: worst marginal discrepancy {check.residual:.3g}")
 
 
 def _tol(text: str) -> float:
@@ -99,7 +93,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_chsh(args) -> int:
     box = _load_box(args.box)
-    _require_valid_ns(box, args.tol)
+    require_non_signaling(box, args.tol)
     if args.format == "csv":
         sys.stdout.write(chsh_csv(box, args.tol))
         return 0
@@ -135,7 +129,7 @@ def _cmd_quantum(args) -> int:
         if args.box is None:
             raise _CliFailure(2, "quantum needs a box file or --correlators")
         box = _load_box(args.box)
-        _require_valid_ns(box, args.tol)
+        require_non_signaling(box, args.tol)
         verdict = quantum.is_quantum_box(box, args.tol)
         ok, slack, flagged = verdict.quantum, verdict.slack, verdict.correlator_level_only
         tsi = quantum.tsirelson_check(correlators(box, args.tol), args.tol)
@@ -207,7 +201,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_search(args) -> int:
     box = _load_box(args.box)
-    _require_valid_ns(box, args.tol)
+    require_non_signaling(box, args.tol)
     result = search.search_2copy(box, tol=args.tol)
     if args.format == "table":
         print(f"NL_in  {result.nl_in:.9g}")
@@ -224,7 +218,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_depolarize(args) -> int:
     box = _load_box(args.box)
-    _require_valid_ns(box, args.tol)
+    require_non_signaling(box, args.tol)
     iso = symmetry.depolarize(box, args.tol)
     print(iso.to_json())
     return 0
@@ -233,7 +227,7 @@ def _cmd_depolarize(args) -> int:
 def _cmd_game(args) -> int:
     if args.box is not None:
         resource = _load_box(args.box)
-        _require_valid_ns(resource, args.tol)
+        require_non_signaling(resource, args.tol)
     elif args.eps is not None:
         try:
             resource = p_eps(args.eps) if args.delta is None else p_eps_delta(args.eps, args.delta)
@@ -331,6 +325,9 @@ def run(argv: list[str] | None = None) -> int:
     except _CliFailure as failure:
         print(str(failure), file=sys.stderr)
         return failure.code
+    except (InvalidBoxError, SignalingBoxError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 def main() -> None:

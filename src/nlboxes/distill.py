@@ -3,10 +3,21 @@
 For the resource family ``p_eps_delta(eps, delta)`` the XOR protocol over
 n copies has CHSH non-locality 3*(1-2*delta)**n - (1-2*eps)**n whenever
 0 <= delta < eps < 1/2 (there the CHSH maximum sits at input pair 00 with
-positive sign). The optimizer maximizes that value over n and over the
-parameter rectangle, subject to the resource being quantum realizable and
-the protocol strictly gaining, by a deterministic coarse grid followed by
-local refinement.
+positive sign). The optimizer maximizes that value over n, eps and delta,
+subject to the resource being quantum realizable and the protocol strictly
+gaining.
+
+With d = 1 - 2*delta and e = 1 - 2*eps the constraints are the quantum
+bound 3*asin(d) - asin(e) <= pi, nl_in = 3*d - e > 2 and the gain
+e - e**n > 3*(d - d**n), the last two with margin ``DISTILL_MARGIN``.
+nl_in > 2 needs d > 1/3, where the gain's right side is positive, and
+e - e**n <= 0 for e <= 0, so the gain needs e > 0. On e > 0 the objective
+3*d**n - e**n falls as e rises. So for fixed (n, delta) the best point is
+the lowest feasible e: the larger of the quantum boundary
+e_q = sin(3*asin(d) - pi), which binds only for d > 1/2, and the smallest
+e that passes the gain check, found by bisection on [0, n**(-1/(n-1))]
+where e - e**n rises. That e is feasible iff it also passes the nl_in
+check and e < 1. What remains is a 1-D problem in delta.
 """
 
 from __future__ import annotations
@@ -16,13 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, Correlators, FamilyParams, format_17g, nl, p_eps_delta
+from .boxes import DEFAULT_TOL, Correlators, FamilyParams, check_tol, format_17g, nl, p_eps_delta
 from .quantum import is_quantum_correlators
 from .wiring import compose_xor
 
 # Strictness margin for calling a point distillable; keeps boundary points
 # from flipping on rounding noise.
 DISTILL_MARGIN = 1e-12
+
+# Halvings of the gain-root bracket, which ends 2**-64 of its first width.
+_BISECTIONS = 64
+# Most ulps ``_inside`` moves e; the array and scalar forms differ by a few.
+_POLISH_ULPS = 16
 
 
 def nl_closed_eps(eps: float, n: int) -> float:
@@ -143,62 +159,54 @@ class InfeasibleRegionError(RuntimeError):
     """No parameter point satisfies the quantum and distillability constraints."""
 
 
-def _feasible_values(
-    n: int, eps: np.ndarray, delta: np.ndarray, tol: float
-) -> np.ndarray:
-    """Objective over a parameter grid, -inf where constraints fail."""
-    e_grid, d_grid = np.meshgrid(eps, delta, indexing="ij")
-    e = 1.0 - 2.0 * e_grid
-    d = 1.0 - 2.0 * d_grid
-    nl_in = 3.0 * d - e
-    nl_out = 3.0 * d**n - e**n
-    asin_e = np.arcsin(np.clip(e, -1.0, 1.0))
-    asin_d = np.arcsin(np.clip(d, -1.0, 1.0))
-    quantum = (np.abs(3.0 * asin_d - asin_e) <= math.pi + tol) & (
-        np.abs(asin_d + asin_e) <= math.pi + tol
-    )
-    feasible = quantum & (nl_out > nl_in + DISTILL_MARGIN) & (nl_in > 2.0 + DISTILL_MARGIN)
-    return np.where(feasible, nl_out, -np.inf)
+def _lowest_feasible(ns: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Objective and e = 1 - 2*eps at the lowest feasible e, per (n, delta).
+
+    ``ns`` indexes the rows and ``delta`` the columns. The value is -inf
+    where no eps is feasible for that pair.
+    """
+    n = ns[:, None]
+    d = 1.0 - 2.0 * delta[None, :]
+    # Quantum boundary 3*asin(d) - asin(e) <= pi; it binds only for d > 1/2.
+    e_q = np.where(d > 0.5, np.sin(3.0 * np.arcsin(d) - math.pi), -1.0)
+    # Gain root: the gain rises in e on [0, n**(-1/(n-1))]; bisect there for the
+    # smallest e that passes the gain check as written, kept in (hi - 2*width, hi].
+    out_d = 3.0 * d**n
+    in_d = 3.0 * d
+    width = 0.5 * n ** (-1.0 / (n - 1.0))
+    hi = 2.0 * width
+    for _ in range(_BISECTIONS):
+        mid = hi - width
+        hi = np.where(out_d - mid**n > in_d - mid + DISTILL_MARGIN, mid, hi)
+        width = 0.5 * width
+    e = np.maximum(e_q, hi)
+    nl_in = in_d - e
+    nl_out = out_d - e**n
+    feasible = (nl_in > 2.0 + DISTILL_MARGIN) & (nl_out > nl_in + DISTILL_MARGIN) & (e < 1.0)
+    return np.where(feasible, nl_out, -np.inf), e
 
 
-def _grid_argmax(
-    n: int, eps: np.ndarray, delta: np.ndarray, tol: float
-) -> tuple[float, float, float] | None:
-    vals = _feasible_values(n, eps, delta, tol)
-    flat = int(np.argmax(vals))
-    best = float(vals.flat[flat])
-    if best == -np.inf:
-        return None
-    i, j = divmod(flat, len(delta))
-    # np.argmax takes the first maximum in row-major order, so ties resolve
-    # to the smallest eps, then the smallest delta.
-    return best, float(eps[i]), float(delta[j])
+def _best(ns: np.ndarray, delta: np.ndarray) -> tuple[float, int, float, float]:
+    """(value, n, e, delta) of the best pair; ties go to smaller n, then smaller delta."""
+    values, e = _lowest_feasible(ns, delta)
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    return float(values[i, j]), int(ns[i]), float(e[i, j]), float(delta[j])
 
 
-def _refine(
-    n: int,
-    coarse: tuple[float, float, float],
-    step: float,
-    refine_to: float,
-    fixed_delta: float | None,
-    tol: float,
-) -> tuple[float, float, float]:
-    best = coarse  # feasible by construction, so refinement can only improve
-    eps_c, delta_c = coarse[1], coarse[2]
-    while True:
-        eps = np.linspace(max(refine_to, eps_c - 2.0 * step), min(1.0, eps_c + 2.0 * step), 41)
-        if fixed_delta is None:
-            delta = np.linspace(max(0.0, delta_c - 2.0 * step), min(1.0, delta_c + 2.0 * step), 41)
-        else:
-            delta = np.array([fixed_delta])
-        found = _grid_argmax(n, eps, delta, tol)
-        if found is not None and found[0] > best[0]:
-            best = found
-            eps_c, delta_c = found[1], found[2]
-        step /= 10.0
-        if step < refine_to:
+def _inside(n: int, e: float, delta: float) -> float:
+    """The eps of the first e, going up by ulps, that the scalar checks accept.
+
+    Array rounding can leave a boundary point an ulp outside
+    ``is_quantum_correlators`` or ``is_distillable_at``; a larger e is inward of both.
+    """
+    d = 1.0 - 2.0 * delta
+    for _ in range(_POLISH_ULPS):
+        eps = (1.0 - e) / 2.0
+        _, slack = is_quantum_correlators(Correlators(d, d, d, 1.0 - 2.0 * eps), 0.0)
+        if slack <= 0.0 and is_distillable_at(eps, delta, n):
             break
-    return best
+        e = math.nextafter(e, 1.0)
+    return eps
 
 
 def optimize_quantum_distillation(
@@ -210,14 +218,25 @@ def optimize_quantum_distillation(
 ) -> Optimum:
     """Best quantum-realizable resource for the XOR protocol, deterministically.
 
-    Scans n from 2 to ``n_max``. For each n a coarse grid with step
-    ``coarse_step`` covers eps in (0, 1] and delta in [0, 1], then the
-    best cell is refined by nested 41x41 grids down to ``refine_to``
-    parameter resolution. Ties break toward smaller n, then smaller eps,
-    then smaller delta. Raises ``InfeasibleRegionError`` when nothing
-    satisfies the constraints (possible only under ``fixed_delta``), and
-    ``ValueError`` unless ``coarse_step`` is in (0, 1] and ``refine_to`` is
-    finite and positive, before any grid is built.
+    Scans n from 2 to ``n_max``. For each (n, delta) the best eps is
+    exact: it gives the lowest feasible e = 1 - 2*eps (see the module
+    docstring). Under ``fixed_delta`` that settles the answer, and
+    ``coarse_step`` and ``refine_to`` play no part. Otherwise delta is
+    swept over [0, 1/6), outside which nothing is feasible, at spacing
+    ``coarse_step``. The best delta is then refined by nested 41-point
+    grids of half-width 2*step, step starting at ``coarse_step`` and
+    divided by ten per level while it is at least ``refine_to``, so the
+    last spacing is between ``refine_to`` / 10 and ``refine_to``. Ties
+    break toward smaller n, then smaller delta.
+
+    The returned point passes the arcsine test with zero slack or lies
+    inside it, so ``nl_out`` exceeds 1 + sqrt(2) by rounding at most (it
+    does not at the defaults); ``tol`` loosens only the final feasibility
+    assertion, never the search. Raises
+    ``InfeasibleRegionError`` when no evaluated point satisfies the
+    constraints (at delta = 0, for instance), and ``ValueError`` before any
+    evaluation unless ``coarse_step`` is in (0, 1], ``refine_to`` is finite
+    and positive, and ``tol`` is finite and >= 0.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
@@ -225,37 +244,33 @@ def optimize_quantum_distillation(
         raise ValueError(f"coarse_step must be in (0, 1], got {coarse_step}")
     if not 0.0 < refine_to < np.inf:
         raise ValueError(f"refine_to must be finite and > 0, got {refine_to}")
-    eps = np.arange(coarse_step, 1.0 + coarse_step / 2.0, coarse_step)
-    if fixed_delta is None:
-        delta = np.arange(0.0, 1.0 + coarse_step / 2.0, coarse_step)
+    check_tol(tol)
+    if fixed_delta is not None and not 0.0 <= fixed_delta <= 1.0:
+        raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")
+
+    ns = np.arange(2, n_max + 1)
+    if fixed_delta is not None:
+        best = _best(ns, np.array([fixed_delta], dtype=float))
     else:
-        if not 0.0 <= fixed_delta <= 1.0:
-            raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")
-        delta = np.array([fixed_delta])
-
-    best: tuple[float, int, float, float] | None = None
-    for n in range(2, n_max + 1):
-        coarse = _grid_argmax(n, eps, delta, tol)
-        if coarse is None:
-            continue
-        value, eps_star, delta_star = _refine(n, coarse, coarse_step, refine_to, fixed_delta, tol)
-        if best is None or value > best[0]:
-            best = (value, n, eps_star, delta_star)
-
-    if best is None:
+        # nl_in = 3*d - e > 2 with e > 0 needs d > 2/3, so delta < 1/6.
+        best = _best(ns, np.arange(0.0, 1.0 / 6.0, coarse_step))
+        step = coarse_step
+        while step >= refine_to:
+            centre = best[3]
+            delta = np.linspace(max(0.0, centre - 2.0 * step), min(1.0, centre + 2.0 * step), 41)
+            found = _best(ns, delta)
+            if found[0] > best[0]:
+                best = found
+            step /= 10.0
+    value, n_star, e_star, delta_star = best
+    if value == -np.inf:
         raise InfeasibleRegionError("no feasible (eps, delta, n) point")
 
-    value, n_star, eps_star, delta_star = best
+    eps_star = _inside(n_star, e_star, delta_star)
+    value = nl_closed_eps_delta(eps_star, delta_star, n_star)
     nl_in = nl_closed_eps_delta(eps_star, delta_star, 1)
-    quantum, _ = is_quantum_correlators(
-        Correlators(
-            1.0 - 2.0 * delta_star,
-            1.0 - 2.0 * delta_star,
-            1.0 - 2.0 * delta_star,
-            1.0 - 2.0 * eps_star,
-        ),
-        tol,
-    )
+    d = 1.0 - 2.0 * delta_star
+    quantum, _ = is_quantum_correlators(Correlators(d, d, d, 1.0 - 2.0 * eps_star), tol)
     if not quantum or value <= nl_in:
         raise AssertionError("optimizer returned an infeasible point")
     return Optimum(n_star, eps_star, delta_star, nl_in, value)

@@ -149,6 +149,9 @@ def test_optimizer_argument_errors():
         {"coarse_step": 1.5},
         {"coarse_step": math.nan},
         {"coarse_step": math.inf},
+        {"tol": math.nan},
+        {"tol": -1e-9},
+        {"tol": math.inf},
     ],
 )
 def test_optimizer_rejects_bad_steps_before_any_grid(kwargs, monkeypatch):
@@ -157,6 +160,82 @@ def test_optimizer_rejects_bad_steps_before_any_grid(kwargs, monkeypatch):
     def no_grid(*args):
         raise AssertionError("grid evaluated before the arguments were checked")
 
-    monkeypatch.setattr(distill, "_grid_argmax", no_grid)
+    monkeypatch.setattr(distill, "_lowest_feasible", no_grid)
     with pytest.raises(ValueError):
         nb.optimize_quantum_distillation(n_max=2, **kwargs)
+
+
+def _grid_values(n: int, eps: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Objective on an (eps, delta) grid, -inf where a constraint fails.
+
+    An independent oracle for the optimizer: every constraint is checked
+    directly, with the arcsine test at zero slack.
+    """
+    e_grid, d_grid = np.meshgrid(eps, delta, indexing="ij")
+    e = 1.0 - 2.0 * e_grid
+    d = 1.0 - 2.0 * d_grid
+    nl_in = 3.0 * d - e
+    nl_out = 3.0 * d**n - e**n
+    asin_e = np.arcsin(np.clip(e, -1.0, 1.0))
+    asin_d = np.arcsin(np.clip(d, -1.0, 1.0))
+    quantum = (np.abs(3.0 * asin_d - asin_e) <= math.pi) & (np.abs(asin_d + asin_e) <= math.pi)
+    margin = distill.DISTILL_MARGIN
+    feasible = quantum & (nl_out > nl_in + margin) & (nl_in > 2.0 + margin)
+    return np.where(feasible, nl_out, -np.inf)
+
+
+def _grid_best(n_max: int, eps: np.ndarray, delta: np.ndarray) -> tuple[float, int | None]:
+    """Best grid value and its n (the smallest on ties); (-inf, None) if none is feasible."""
+    best, best_n = -np.inf, None
+    for n in range(2, n_max + 1):
+        value = float(np.max(_grid_values(n, eps, delta)))
+        if value > best:
+            best, best_n = value, n
+    return best, best_n
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 5])
+def test_optimizer_beats_coarse_grid(n_max):
+    grid, _ = _grid_best(n_max, np.linspace(0.0025, 1.0, 400), np.linspace(0.0, 1.0, 401))
+    assert grid > 2.4  # the grid itself comes near the ceiling
+    opt = nb.optimize_quantum_distillation(n_max=n_max)
+    assert opt.nl_out >= grid - 1e-12
+
+
+def test_default_optimizer_reaches_ceiling_exactly():
+    opt = nb.optimize_quantum_distillation()
+    assert CEILING - 1e-12 <= opt.nl_out <= CEILING
+    d = 1.0 - 2.0 * opt.delta
+    _, slack = nb.is_quantum_correlators(nb.Correlators(d, d, d, 1.0 - 2.0 * opt.eps), 0.0)
+    assert slack <= 0.0
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.002, 0.02, 0.04, 0.045, 0.06, 0.3])
+def test_fixed_delta_matches_eps_grid(delta):
+    # 0.045 is feasible only above the gain root, not on the quantum boundary.
+    grid, grid_n = _grid_best(20, np.linspace(1e-5, 1.0, 100000), np.array([delta]))
+    if grid_n is None:
+        with pytest.raises(nb.InfeasibleRegionError):
+            nb.optimize_quantum_distillation(fixed_delta=delta)
+        return
+    opt = nb.optimize_quantum_distillation(fixed_delta=delta)
+    assert (opt.n, opt.delta) == (grid_n, delta)
+    assert opt.nl_out >= grid
+    assert nb.is_distillable_at(opt.eps, opt.delta, opt.n)
+
+
+def test_fixed_delta_points_pass_scalar_checks():
+    # Rounding may put the array optimum an ulp outside a boundary; the
+    # returned point must still pass the scalar checks, at zero slack.
+    feasible = 0
+    for delta in np.linspace(0.0, 0.05, 51):
+        try:
+            opt = nb.optimize_quantum_distillation(fixed_delta=float(delta))
+        except nb.InfeasibleRegionError:
+            continue
+        feasible += 1
+        d = 1.0 - 2.0 * opt.delta
+        _, slack = nb.is_quantum_correlators(nb.Correlators(d, d, d, 1.0 - 2.0 * opt.eps), 0.0)
+        assert slack <= 0.0
+        assert nb.is_distillable_at(opt.eps, opt.delta, opt.n)
+    assert feasible == 45
