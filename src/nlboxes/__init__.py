@@ -88,7 +88,6 @@ from .wiring import (
     MAX_XOR_COPIES,
     AdaptiveStrategy,
     Wiring2,
-    XorProtocol,
     compose_wiring2,
     compose_xor,
     first_box_strategy,

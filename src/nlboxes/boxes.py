@@ -47,7 +47,10 @@ class SignalingBoxError(ValueError):
 
 
 def _as_matrix(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except TypeError as exc:  # entries such as JSON objects
+        raise ValueError(f"box matrix must hold numbers: {exc}") from exc
     if arr.shape != (4, 4):
         raise ValueError(f"box matrix must be 4x4, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -371,8 +374,21 @@ def format_17g(value: float) -> str:
 
 
 def load_box(path: str) -> Box:
+    """Read a box file such as ``Box.to_json`` writes.
+
+    Raises ``OSError`` when the file cannot be read, and ``ValueError``
+    naming the file when it holds no box: text that is not UTF-8, malformed
+    JSON (with its line and column), or a matrix that is not 4x4 numbers.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return Box.from_json(fh.read())
+        try:
+            return Box.from_json(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from exc
+        except ValueError as exc:
+            raise ValueError(f"bad box file {path}: {exc}") from exc
 
 
 def chsh_csv(box: Box, tol: float = DEFAULT_TOL) -> str:

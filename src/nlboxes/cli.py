@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a box fails validation or the
-non-signaling check, 2 on usage errors including malformed JSON.
+non-signaling check, 2 on usage errors including unreadable or malformed
+box files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 from . import distill, games, quantum, search, symmetry
 from .boxes import (
     DEFAULT_TOL,
-    Box,
     Correlators,
     InvalidBoxError,
     SignalingBoxError,
@@ -21,6 +21,7 @@ from .boxes import (
     chsh_values,
     correlators,
     is_non_signaling,
+    load_box,
     nl_correlators,
     p_eps,
     p_eps_delta,
@@ -38,22 +39,6 @@ class _CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _load_box(path: str) -> Box:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliFailure(2, f"cannot read {path}: {exc}")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _CliFailure(2, f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    try:
-        return Box.from_json_dict(obj)
-    except ValueError as exc:
-        raise _CliFailure(2, f"bad box file {path}: {exc}")
 
 
 def _tol(text: str) -> float:
@@ -79,7 +64,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_validate(args) -> int:
-    box = _load_box(args.box)
+    box = load_box(args.box)
     report = validate(box, args.tol)
     if not report.ok:
         print("invalid box:")
@@ -92,7 +77,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
-    box = _load_box(args.box)
+    box = load_box(args.box)
     require_non_signaling(box, args.tol)
     if args.format == "csv":
         sys.stdout.write(chsh_csv(box, args.tol))
@@ -128,8 +113,7 @@ def _cmd_quantum(args) -> int:
     else:
         if args.box is None:
             raise _CliFailure(2, "quantum needs a box file or --correlators")
-        box = _load_box(args.box)
-        require_non_signaling(box, args.tol)
+        box = load_box(args.box)
         verdict = quantum.is_quantum_box(box, args.tol)
         ok, slack, flagged = verdict.quantum, verdict.slack, verdict.correlator_level_only
         tsi = quantum.tsirelson_check(correlators(box, args.tol), args.tol)
@@ -158,10 +142,7 @@ def _cmd_distill(args) -> int:
     if args.family == "eps" and args.delta != 0.0:
         raise _CliFailure(2, "--family eps does not take --delta")
     delta = args.delta
-    try:
-        report = distill.distillation_report(args.eps, delta, n_values, args.tol)
-    except ValueError as exc:
-        raise _CliFailure(2, str(exc))
+    report = distill.distillation_report(args.eps, delta, n_values, args.tol)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     elif args.format == "json":
@@ -176,16 +157,9 @@ def _cmd_distill(args) -> int:
 
 def _cmd_optimize(args) -> int:
     try:
-        opt = distill.optimize_quantum_distillation(
-            n_max=args.n_max,
-            coarse_step=args.coarse_step,
-            refine_to=args.refine_to,
-            tol=args.tol,
-        )
+        opt = distill.optimize_quantum_distillation(n_max=args.n_max, tol=args.tol)
     except distill.InfeasibleRegionError as exc:
         raise _CliFailure(1, str(exc))
-    except ValueError as exc:
-        raise _CliFailure(2, str(exc))
     if args.format == "json":
         print(json.dumps({
             "n": opt.n,
@@ -200,9 +174,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    box = _load_box(args.box)
-    require_non_signaling(box, args.tol)
-    result = search.search_2copy(box, tol=args.tol)
+    result = search.search_2copy(load_box(args.box), tol=args.tol)
     if args.format == "table":
         print(f"NL_in  {result.nl_in:.9g}")
         print(f"NL_out {result.nl_out:.9g} ({'distilled' if result.distilled else 'no gain'})")
@@ -217,22 +189,16 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_depolarize(args) -> int:
-    box = _load_box(args.box)
-    require_non_signaling(box, args.tol)
-    iso = symmetry.depolarize(box, args.tol)
-    print(iso.to_json())
+    print(symmetry.depolarize(load_box(args.box), args.tol).to_json())
     return 0
 
 
 def _cmd_game(args) -> int:
     if args.box is not None:
-        resource = _load_box(args.box)
+        resource = load_box(args.box)
         require_non_signaling(resource, args.tol)
     elif args.eps is not None:
-        try:
-            resource = p_eps(args.eps) if args.delta is None else p_eps_delta(args.eps, args.delta)
-        except ValueError as exc:
-            raise _CliFailure(2, str(exc))
+        resource = p_eps(args.eps) if args.delta is None else p_eps_delta(args.eps, args.delta)
     else:
         raise _CliFailure(2, "game needs a box file or --eps")
     if not 1 <= args.m <= MAX_XOR_COPIES:
@@ -288,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="best quantum-realizable resource for the XOR protocol")
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--coarse-step", type=float, default=1e-3)
-    p.add_argument("--refine-to", type=float, default=1e-8)
     common(p, fmt=("table", "json"))
     p.set_defaults(func=_cmd_optimize)
 
@@ -328,6 +292,9 @@ def run(argv: list[str] | None = None) -> int:
     except (InvalidBoxError, SignalingBoxError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:  # unreadable or malformed box files, bad argument values
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 def main() -> None:

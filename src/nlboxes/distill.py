@@ -39,6 +39,11 @@ DISTILL_MARGIN = 1e-12
 _BISECTIONS = 64
 # Most ulps ``_inside`` moves e; the array and scalar forms differ by a few.
 _POLISH_ULPS = 16
+# The optimizer's delta sweep spacing, and the spacing at which its
+# refinement stops. Finer refinement only chases rounding: below a spacing
+# of about 1e-9 the objective is flat to within an ulp.
+_COARSE_STEP = 1e-3
+_REFINE_TO = 1e-8
 
 
 def nl_closed_eps(eps: float, n: int) -> float:
@@ -211,8 +216,6 @@ def _inside(n: int, e: float, delta: float) -> float:
 
 def optimize_quantum_distillation(
     n_max: int = 20,
-    coarse_step: float = 1e-3,
-    refine_to: float = 1e-8,
     fixed_delta: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> Optimum:
@@ -220,13 +223,11 @@ def optimize_quantum_distillation(
 
     Scans n from 2 to ``n_max``. For each (n, delta) the best eps is
     exact: it gives the lowest feasible e = 1 - 2*eps (see the module
-    docstring). Under ``fixed_delta`` that settles the answer, and
-    ``coarse_step`` and ``refine_to`` play no part. Otherwise delta is
-    swept over [0, 1/6), outside which nothing is feasible, at spacing
-    ``coarse_step``. The best delta is then refined by nested 41-point
-    grids of half-width 2*step, step starting at ``coarse_step`` and
-    divided by ten per level while it is at least ``refine_to``, so the
-    last spacing is between ``refine_to`` / 10 and ``refine_to``. Ties
+    docstring). Under ``fixed_delta`` that settles the answer. Otherwise
+    delta is swept over [0, 1/6), outside which nothing is feasible, at
+    spacing 1e-3. The best delta is then refined by nested 41-point grids
+    of half-width 2*step, step starting at 1e-3 and divided by ten per
+    level while it is at least 1e-8, so the last spacing is 1e-9. Ties
     break toward smaller n, then smaller delta.
 
     The returned point passes the arcsine test with zero slack or lies
@@ -235,15 +236,11 @@ def optimize_quantum_distillation(
     assertion, never the search. Raises
     ``InfeasibleRegionError`` when no evaluated point satisfies the
     constraints (at delta = 0, for instance), and ``ValueError`` before any
-    evaluation unless ``coarse_step`` is in (0, 1], ``refine_to`` is finite
-    and positive, and ``tol`` is finite and >= 0.
+    evaluation unless ``n_max`` >= 2, ``fixed_delta`` is None or in [0, 1],
+    and ``tol`` is finite and >= 0.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if not 0.0 < coarse_step <= 1.0:
-        raise ValueError(f"coarse_step must be in (0, 1], got {coarse_step}")
-    if not 0.0 < refine_to < np.inf:
-        raise ValueError(f"refine_to must be finite and > 0, got {refine_to}")
     check_tol(tol)
     if fixed_delta is not None and not 0.0 <= fixed_delta <= 1.0:
         raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")
@@ -253,9 +250,9 @@ def optimize_quantum_distillation(
         best = _best(ns, np.array([fixed_delta], dtype=float))
     else:
         # nl_in = 3*d - e > 2 with e > 0 needs d > 2/3, so delta < 1/6.
-        best = _best(ns, np.arange(0.0, 1.0 / 6.0, coarse_step))
-        step = coarse_step
-        while step >= refine_to:
+        best = _best(ns, np.arange(0.0, 1.0 / 6.0, _COARSE_STEP))
+        step = _COARSE_STEP
+        while step >= _REFINE_TO:
             centre = best[3]
             delta = np.linspace(max(0.0, centre - 2.0 * step), min(1.0, centre + 2.0 * step), 41)
             found = _best(ns, delta)

@@ -19,11 +19,18 @@ equal keys collapse to the one with the smallest encoding; the resulting
 strategies that ignore a box end (the ignored end's marginal is input
 independent) and order swaps of non-adaptive plans.
 
-The pair scan is a tensor contraction: a strategy enters the composite
-only through a 0/1 tensor over (party input, final bit) x (box outcomes,
-box inputs), so CHSH values of many strategy pairs reduce to one matrix
-product per chunk. Only S = X00 + X01 + X10 - X11 is scanned, and only
-on some Alice classes:
+The pair scan works in the same coordinates as the key. The CHSH
+correlator X_xy of a composite counts each party's final bit 0 with +1
+and 1 with -1, so it depends on a class only through its signed key
+signed[x] = key[x, final 0] - key[x, final 1], 2 x 9 integers. The box
+enters as R = kron(Q, Q). Here P is the box read over (a, x) x (b, y);
+no-signaling puts its rows and columns in the span of K, so P = K Q K^T
+with Q = L P L^T for L an integer left inverse of K. Then
+X_xy = signed_s[x] . R . signed_t[y]. A CHSH functional is a sign
+pattern over (x, y), so the values of one Alice row against every Bob
+class are one product with the 18 signed coordinates of all classes.
+Only S = X00 + X01 + X10 - X11 is scanned, whose row for Alice class s
+is [(s0 + s1) R, (s0 - s1) R], and only on some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -117,12 +124,17 @@ def _u_tensor() -> np.ndarray:
 # Basis of the (a, x) vectors orthogonal to the non-signaling relation
 # e(0,0) + e(1,0) = e(0,1) + e(1,1), with (a, x) at index 2*a + x.
 _NS_BASIS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
+# Integer left inverse of _NS_BASIS: _NS_LEFT_INVERSE @ _NS_BASIS is the identity.
+_NS_LEFT_INVERSE = np.array([[1, 0, 0, 0], [-1, 1, 0, 0], [1, -1, 1, 0]], dtype=float)
 
 
 @dataclass(frozen=True)
 class _Dedup:
     rep_codes: np.ndarray  # class id -> smallest encoding, ascending
     class_of_code: np.ndarray  # raw code -> class id
+    # class id -> (party input, 9) key of final bit 0 minus key of final bit 1;
+    # exact integers, held as floats for the scan's products
+    signed: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -138,7 +150,10 @@ def _dedup() -> _Dedup:
     order = np.argsort(first)
     rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
-    return _Dedup(rep_codes=first[order].astype(np.int32), class_of_code=rank[inverse.ravel()])
+    rep_codes = first[order].astype(np.int32)
+    by_final = keys[rep_codes].reshape(-1, 2, 2, 9)  # (class, party input, final bit, 9)
+    signed = (by_final[:, :, 0] - by_final[:, :, 1]).astype(float)
+    return _Dedup(rep_codes=rep_codes, class_of_code=rank[inverse.ravel()], signed=signed)
 
 
 def behavior_key(strategy: AdaptiveStrategy) -> int:
@@ -162,12 +177,6 @@ def behavior_class_count() -> int:
     return len(_dedup().rep_codes)
 
 
-@lru_cache(maxsize=1)
-def _rep_u_matrix() -> np.ndarray:
-    """0/1 tensor of each representative: (class, party input x final, outcomes x inputs)."""
-    return _u_tensor()[_dedup().rep_codes].astype(float)
-
-
 # One party's relabelings as (flip input, flip final bit, flip final bit on
 # input 1), in the field order of ``symmetry.Relabeling``.
 _PARTY_RELABELINGS = tuple(product((0, 1), repeat=3))
@@ -189,6 +198,16 @@ def _relabel_codes(codes: np.ndarray, flip_x: int, flip_a: int, a_flip_with_x: i
 # S values within this of the maximum count as tied with it.
 _NEAR_MAX = 1e-12
 
+# Alice rows per product in the pair scan; the result does not depend on it.
+_CHUNK = 64
+
+# The eight CHSH functionals as signs over (Bob input y, Alice input x): S,
+# the three with the minus sign moved, and the negations of all four.
+_CHSH_SIGNS = np.array([
+    [[sign * (-1 if (x, y) == (1 - x0, 1 - y0) else 1) for x in (0, 1)] for y in (0, 1)]
+    for sign in (1, -1) for x0, y0 in product((0, 1), repeat=2)
+])
+
 
 @dataclass(frozen=True)
 class _Orbits:
@@ -205,23 +224,13 @@ def _orbits() -> _Orbits:
     return _Orbits(perms, orbit_min, np.flatnonzero(orbit_min == np.arange(len(orbit_min))))
 
 
-def _box_kernel(matrix: np.ndarray) -> np.ndarray:
-    """Product probabilities of the two copies over all outcome/input combos."""
-    t4 = np.asarray(matrix).reshape(2, 2, 2, 2)  # [x, y, a, b]
-    k8 = np.einsum("xyab,XYAB->aAxXbByY", t4, t4)
-    return k8.reshape(16, 16)
-
-
-@lru_cache(maxsize=1)
-def _chsh_weights() -> np.ndarray:
-    """Eight CHSH functionals on composite tables laid out as (xa, yb)."""
-    w = np.zeros((8, 4, 4))
-    for k, (x0, y0) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        for x, y, a, b in product(range(2), repeat=4):
-            sign = -1.0 if (x, y) == (1 - x0, 1 - y0) else 1.0
-            w[k, 2 * x + a, 2 * y + b] = sign * (1.0 if a == b else -1.0)
-    w[4:] = -w[:4]
-    return w
+def _functional_rows(box: Box, signs: np.ndarray, alice_signed: np.ndarray) -> np.ndarray:
+    """Rows whose product with a Bob class's 18 signed coordinates gives a
+    CHSH functional: signs (..., y, x) @ alice_signed (..., x, 9) @ R, flattened."""
+    p = np.asarray(box.matrix).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)  # (a, x) x (b, y)
+    q = _NS_LEFT_INVERSE @ p @ _NS_LEFT_INVERSE.T
+    rows = (signs @ alice_signed) @ np.kron(q, q)
+    return rows.reshape(*rows.shape[:-2], 18)
 
 
 @dataclass(frozen=True)
@@ -236,7 +245,7 @@ class SearchResult:
     tol: float = DEFAULT_TOL  # the tolerance the search ran under
     # Where the time went, in seconds, and how much was scanned. These stay
     # out of the JSON form, which is pinned.
-    kernel_s: float = 0.0  # input checks, cached tables, box kernel, S rows
+    kernel_s: float = 0.0  # input checks, cached tables, box coordinates, S rows
     scan_s: float = 0.0  # pair scan and tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
     alice_rows_scanned: int = 0
@@ -265,52 +274,47 @@ def pair_nl_values(box: Box, alice: AdaptiveStrategy, tol: float = DEFAULT_TOL) 
     reference composer.
     """
     require_non_signaling(box, tol)
-    u = _rep_u_matrix()
-    k = _box_kernel(box.matrix)
-    ua = _u_tensor()[alice.encode()]
-    t = ua @ k  # (4, 16)
-    g = np.einsum("kab,am->kbm", _chsh_weights(), t).reshape(8, 64)
-    return (u.reshape(len(u), 64) @ g.T).max(axis=1)
+    dedup = _dedup()
+    rows = _functional_rows(box, _CHSH_SIGNS, dedup.signed[dedup.class_of_code[alice.encode()]])
+    return (rows @ dedup.signed.reshape(-1, 18).T).max(axis=0)
 
 
-def search_2copy(box: Box, tol: float = DEFAULT_TOL, chunk: int = 64) -> SearchResult:
+def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     """Best two-copy wiring of ``box`` over all deduplicated strategy pairs.
 
     Deterministic strategies suffice: the CHSH value of a mixture of
     wirings never exceeds the best component, so shared randomness cannot
     beat the maximum found here. Ties resolve to the smallest strategy
     encodings, so results are identical run to run and do not depend on
-    ``chunk``.
+    how the scan is chunked.
     """
     started = time.perf_counter()
     require_non_signaling(box, tol)
     nl_in = nl(box, tol)
 
-    u = _rep_u_matrix()
-    n_reps = len(u)
+    dedup = _dedup()
     orbits = _orbits()
-    flat_u = u.reshape(n_reps, 64)
-    # S of (reps[i], t) is g[i] . flat_u[t].
-    t = u[orbits.reps] @ _box_kernel(box.matrix)
-    g = np.einsum("ab,cam->cbm", _chsh_weights()[0], t).reshape(len(t), 64)
+    bob = dedup.signed.reshape(-1, 18)
+    n_reps = len(bob)
+    # S of (reps[i], t) is g[i] . bob[t].
+    g = _functional_rows(box, _CHSH_SIGNS[0], dedup.signed[orbits.reps])
     kernel_done = time.perf_counter()
 
     def s_values(start: int) -> np.ndarray:
-        return g[start:start + chunk] @ flat_u.T
+        return g[start:start + _CHUNK] @ bob.T
 
-    row_max = np.concatenate([s_values(start).max(axis=1) for start in range(0, len(g), chunk)])
+    row_max = np.concatenate([s_values(start).max(axis=1) for start in range(0, len(g), _CHUNK)])
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
-    start = row - row % chunk  # recompute the row exactly as the scan saw it
+    start = row - row % _CHUNK  # recompute the row exactly as the scan saw it
     best_si = int(orbits.reps[row])
     best_ti = int(orbits.orbit_min[s_values(start)[row - start] >= near].min())
     scan_done = time.perf_counter()
 
-    rep_codes = _dedup().rep_codes
     wiring = Wiring2(
-        AdaptiveStrategy.decode(int(rep_codes[best_si])),
-        AdaptiveStrategy.decode(int(rep_codes[best_ti])),
+        AdaptiveStrategy.decode(int(dedup.rep_codes[best_si])),
+        AdaptiveStrategy.decode(int(dedup.rep_codes[best_ti])),
     )
     nl_out = nl(compose_wiring2(box, wiring, tol), tol)
     if abs(nl_out - best_val) > 1e-9:

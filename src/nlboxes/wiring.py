@@ -69,20 +69,6 @@ def xor_correlator_law(box: Box, n: int, tol: float = DEFAULT_TOL) -> Correlator
     return Correlators(c.x00**n, c.x01**n, c.x10**n, c.x11**n)
 
 
-@dataclass(frozen=True)
-class XorProtocol:
-    """Parallel XOR protocol over a fixed number of copies."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_XOR_COPIES:
-            raise ValueError(f"n must be in 1..{MAX_XOR_COPIES}, got {self.n}")
-
-    def apply(self, box: Box, tol: float = DEFAULT_TOL) -> Box:
-        return compose_xor(box, self.n, tol)
-
-
 def _bit(value: int, name: str) -> int:
     value = int(value)
     if value not in (0, 1):

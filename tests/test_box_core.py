@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import numpy as np
@@ -226,6 +227,24 @@ def test_box_json_schema_errors():
         nb.Box.from_json("[1, 2, 3]")
     with pytest.raises(ValueError):
         nb.Box.from_json('{"rows": []}')
+
+
+def test_load_box_errors(tmp_path):
+    with pytest.raises(OSError):
+        nb.load_box(str(tmp_path / "missing.json"))
+    path = tmp_path / "box.json"
+    path.write_text('{"matrix": [[0.5,\n')
+    with pytest.raises(ValueError, match=r"^malformed JSON in .*box\.json at line 2 column 1: "):
+        nb.load_box(str(path))
+    path.write_text(json.dumps({"matrix": [[0.25] * 4] * 3}))
+    with pytest.raises(ValueError, match=r"^bad box file .*box\.json: box matrix must be 4x4, got shape \(3, 4\)"):
+        nb.load_box(str(path))
+    path.write_text('{"matrix": {}}')
+    with pytest.raises(ValueError, match="must hold numbers"):
+        nb.load_box(str(path))
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ValueError, match=r"^bad box file .*box\.json: 'utf-8' codec"):
+        nb.load_box(str(path))
 
 
 def test_chsh_csv_round_trip():

@@ -135,17 +135,6 @@ def test_optimize_json(capsys):
     assert payload["nl_out"] == pytest.approx(2.4142136, abs=1e-4)
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--refine-to", "0"), ("--refine-to", "inf"), ("--coarse-step", "0"),
-     ("--coarse-step", "-0.1"), ("--coarse-step", "nan")],
-)
-def test_optimize_bad_steps_exit_two(flag, value, capsys):
-    assert run(["optimize", "--n-max", "2", flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and flag[2:].replace("-", "_") in err
-
-
 def test_search_table_shows_phases_under_wall_time(tmp_path, capsys):
     path = tmp_path / "box.json"
     path.write_text(nb.p_eps(0.1).to_json())
@@ -205,6 +194,26 @@ def test_game_without_resource_exits_two(capsys):
 
 def test_game_depth_cap(capsys):
     assert run(["game", "--eps", "0.1", "--m", "99"]) == 2
+
+
+SIGNALING = nb.Box([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.25] * 4, [0.25] * 4])
+NEGATIVE = nb.Box([[0.6, -0.1, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]])
+
+
+@pytest.mark.parametrize("command", ["chsh", "quantum", "search", "depolarize", "game"])
+@pytest.mark.parametrize(
+    "box, message",
+    [(SIGNALING, "box is signaling: worst marginal discrepancy 1\n"),
+     (NEGATIVE, "invalid box: row xy=00 col ab=01: negative entry (residual 0.1)\n")],
+    ids=["signaling", "negative_entry"],
+)
+def test_rejected_box_exits_one_with_one_line(command, box, message, tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text(box.to_json())
+    assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("m", ["0", "-2"])

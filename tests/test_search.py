@@ -155,12 +155,28 @@ def test_search_results_are_deterministic():
     assert a.nl_out == b.nl_out
 
 
-def test_search_chunking_does_not_change_result():
+def test_search_chunking_does_not_change_result(monkeypatch):
     base = nb.search_2copy(nb.p_eps(0.2))
     for chunk in (1, 7, 1000):
-        other = nb.search_2copy(nb.p_eps(0.2), chunk=chunk)
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        other = nb.search_2copy(nb.p_eps(0.2))
         assert other.wiring == base.wiring
         assert other.nl_out == base.nl_out
+
+
+# On p_eps(xi) the best two-copy wiring is the better of two protocols: XOR,
+# classes (4966, 4966), with 2 + 4 xi - 4 xi^2, and the correlated-box
+# protocol of Brunner and Skrzypczyk, classes (4454, 4454), with
+# 2 + xi (3 - xi). They tie exactly at xi = 1/3, where the tie rule picks the
+# smaller pair.
+@pytest.mark.parametrize(
+    "xi, codes",
+    [(0.1, 4966), (0.2, 4966), (0.3, 4966), (1 / 3, 4454), (0.4, 4454), (0.5, 4454), (0.9, 4454)],
+)
+def test_p_eps_winner_and_crossover(xi, codes):
+    result = nb.search_2copy(nb.p_eps(xi))
+    assert (result.wiring.alice.encode(), result.wiring.bob.encode()) == (codes, codes)
+    assert abs(result.nl_out - max(2 + 4 * xi - 4 * xi**2, 2 + xi * (3 - xi))) <= 1e-12
 
 
 def test_search_reports_phases_and_counters():
@@ -197,14 +213,33 @@ def test_party_relabeling_permutes_classes(alice_flips, rng):
             assert np.max(np.abs(np.asarray(relabeled.matrix) - np.asarray(expected.matrix))) <= 1e-12
 
 
+def _box_kernel(matrix: np.ndarray) -> np.ndarray:
+    """Product probabilities of the two copies over all outcome/input combos."""
+    t4 = np.asarray(matrix).reshape(2, 2, 2, 2)  # [x, y, a, b]
+    return np.einsum("xyab,XYAB->aAxXbByY", t4, t4).reshape(16, 16)
+
+
+def _chsh_weights() -> np.ndarray:
+    """Eight CHSH functionals on composite tables laid out as (xa, yb)."""
+    w = np.zeros((8, 4, 4))
+    for k, (x0, y0) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        for x, y, a, b in product(range(2), repeat=4):
+            sign = -1.0 if (x, y) == (1 - x0, 1 - y0) else 1.0
+            w[k, 2 * x + a, 2 * y + b] = sign * (1.0 if a == b else -1.0)
+    w[4:] = -w[:4]
+    return w
+
+
 def _dense_scan_winner(box: nb.Box) -> tuple[float, int, int]:
     """All eight CHSH functionals over all class pairs: the best value and
-    the smallest class pair within 1e-12 of it."""
-    u = search._rep_u_matrix()
+    the smallest class pair within 1e-12 of it. Independent of the search's
+    signed coordinates: each class enters through the 0/1 tensor of its
+    smallest code, and the box through the two copies' product table."""
+    u = search._u_tensor()[search._dedup().rep_codes].astype(float)
     n = len(u)
     flat_u = u.reshape(n, 64)
-    t = np.einsum("cam,mn->can", u, search._box_kernel(box.matrix))
-    g = np.einsum("kab,cam->ckbm", search._chsh_weights(), t).reshape(n, 8, 64)
+    t = np.einsum("cam,mn->can", u, _box_kernel(box.matrix))
+    g = np.einsum("kab,cam->ckbm", _chsh_weights(), t).reshape(n, 8, 64)
 
     def values(start: int) -> np.ndarray:
         return (g[start:start + 64].reshape(-1, 64) @ flat_u.T).reshape(-1, 8, n).max(axis=1)

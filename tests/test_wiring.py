@@ -100,13 +100,6 @@ def test_compose_xor_deep_copy_count():
     assert got == pytest.approx(3.0 - 0.4**16, abs=1e-9)
 
 
-def test_xor_protocol_type():
-    with pytest.raises(ValueError):
-        nb.XorProtocol(0)
-    proto = nb.XorProtocol(3)
-    assert_boxes_close(proto.apply(nb.p_eps(0.2)), nb.compose_xor(nb.p_eps(0.2), 3), tol=0.0)
-
-
 def test_wiring2_xor_strategy_equals_compose_xor(rng):
     wiring = nb.Wiring2(nb.xor_strategy(), nb.xor_strategy())
     for box in (nb.p_eps(0.1), nb.isotropic(0.7), random_ns_box(rng)):
