@@ -140,19 +140,28 @@ def test_optimizer_argument_errors():
 @pytest.mark.parametrize(
     "kwargs",
     [
+        {"n_max": 1},
+        {"n_max": 0},
+        {"fixed_delta": -1e-12},
+        {"fixed_delta": 1.0 + 1e-12},
+        {"fixed_delta": -0.1},
+        {"fixed_delta": 1.5},
+        {"fixed_delta": math.nan},
+        {"fixed_delta": math.inf},
+        {"fixed_delta": -math.inf},
         {"tol": math.nan},
         {"tol": -1e-9},
         {"tol": math.inf},
     ],
 )
 def test_optimizer_rejects_bad_steps_before_any_grid(kwargs, monkeypatch):
-    # The argument checks must come first, so any evaluation here is a failure.
+    # Every argument check must come first, so any evaluation here is a failure.
     def no_grid(*args):
         raise AssertionError("grid evaluated before the arguments were checked")
 
     monkeypatch.setattr(distill, "_lowest_feasible", no_grid)
     with pytest.raises(ValueError):
-        nb.optimize_quantum_distillation(n_max=2, **kwargs)
+        nb.optimize_quantum_distillation(**{"n_max": 2, **kwargs})
 
 
 def _grid_values(n: int, eps: np.ndarray, delta: np.ndarray) -> np.ndarray:
