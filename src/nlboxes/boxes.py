@@ -73,16 +73,6 @@ class Box:
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.matrix[2 * x + y, 2 * a + b])
 
-    def marginal_a(self, a: int, x: int, y: int) -> float:
-        """P(a|xy), summed over Bob's output."""
-        row = self.matrix[2 * x + y]
-        return float(row[2 * a] + row[2 * a + 1])
-
-    def marginal_b(self, b: int, x: int, y: int) -> float:
-        """P(b|xy), summed over Alice's output."""
-        row = self.matrix[2 * x + y]
-        return float(row[b] + row[2 + b])
-
     def to_json_dict(self) -> dict:
         return {"matrix": [[float(v) for v in row] for row in self.matrix]}
 
@@ -206,6 +196,12 @@ def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:
         raise InvalidBoxError(f"invalid box: {report.describe()}")
 
 
+def _marginals(box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """P(a|xy) and P(b|xy), each a 4x2 array over (row xy, own output)."""
+    m = box.matrix
+    return m[:, 0::2] + m[:, 1::2], m[:, :2] + m[:, 2:]
+
+
 def is_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> NonSignalingCheck:
     """Check that each party's output marginals ignore the other's input.
 
@@ -213,18 +209,9 @@ def is_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> NonSignalingCheck:
     Raises ``InvalidBoxError`` if the box is not row-stochastic.
     """
     require_valid(box, tol)
-    m = box.matrix
-    worst = 0.0
-    for x in (0, 1):
-        for a in (0, 1):
-            p0 = m[2 * x, 2 * a] + m[2 * x, 2 * a + 1]
-            p1 = m[2 * x + 1, 2 * a] + m[2 * x + 1, 2 * a + 1]
-            worst = max(worst, abs(float(p0 - p1)))
-    for y in (0, 1):
-        for b in (0, 1):
-            p0 = m[y, b] + m[y, 2 + b]
-            p1 = m[2 + y, b] + m[2 + y, 2 + b]
-            worst = max(worst, abs(float(p0 - p1)))
+    alice, bob = _marginals(box)
+    # Alice's rows 2x and 2x + 1 differ only in y; Bob's rows y and 2 + y only in x.
+    worst = float(max(np.abs(alice[0::2] - alice[1::2]).max(), np.abs(bob[:2] - bob[2:]).max()))
     return NonSignalingCheck(worst <= tol, worst)
 
 
@@ -234,14 +221,20 @@ def require_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> None:
         raise SignalingBoxError(f"box is signaling: worst marginal discrepancy {check.residual:.3g}")
 
 
+# (-1)**(a XOR b) over the output pairs ab.
 _CORR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _correlators(box: Box) -> Correlators:
+    """``correlators`` of a box the caller has already checked."""
+    vals = box.matrix @ _CORR_SIGNS
+    return Correlators(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
 
 
 def correlators(box: Box, tol: float = DEFAULT_TOL) -> Correlators:
     """The four signed sums P(00|xy) + P(11|xy) - P(01|xy) - P(10|xy)."""
     require_valid(box, tol)
-    vals = box.matrix @ _CORR_SIGNS
-    return Correlators(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
+    return _correlators(box)
 
 
 def chsh_values(c: Correlators) -> tuple[float, ...]:
@@ -259,6 +252,12 @@ def chsh_values(c: Correlators) -> tuple[float, ...]:
             s = grid[x][y] + grid[x][1 - y] + grid[1 - x][y] - grid[1 - x][1 - y]
             vals.append(s)
     return tuple(vals) + tuple(-v for v in vals)
+
+
+# The eight CHSH functionals as coefficients of (x00, x01, x10, x11), one row
+# per functional in ``CHSH_LABELS`` order; read off ``chsh_values``.
+CHSH_SIGNS = np.array([chsh_values(Correlators(*unit)) for unit in np.eye(4)]).T
+CHSH_SIGNS.setflags(write=False)
 
 
 def nl_correlators(c: Correlators) -> float:
@@ -282,7 +281,7 @@ def is_local(box: Box, tol: float = DEFAULT_TOL) -> bool:
     raises ``SignalingBoxError``.
     """
     require_non_signaling(box, tol)
-    return nl(box, tol) <= 2.0 + tol
+    return nl_correlators(_correlators(box)) <= 2.0 + tol
 
 
 def _clean(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -315,11 +314,7 @@ def p_eps(eps: float) -> Box:
     box behaves like a PR box with probability ``eps`` and like shared
     correlated randomness otherwise. Requires 0 < eps <= 1.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    correlated = (0.5, 0.0, 0.0, 0.5)
-    last = (0.5 - eps / 2.0, eps / 2.0, eps / 2.0, 0.5 - eps / 2.0)
-    return Box((correlated, correlated, correlated, last))
+    return p_eps_delta(eps)
 
 
 def p_eps_delta(eps: float, delta: float = 0.0) -> Box:
@@ -393,7 +388,9 @@ def load_box(path: str) -> Box:
 
 def chsh_csv(box: Box, tol: float = DEFAULT_TOL) -> str:
     """CSV with the four correlators and the eight CHSH values."""
-    c = correlators(box, tol)
-    vals = c.as_tuple() + chsh_values(c)
+    return _chsh_csv(correlators(box, tol))
+
+
+def _chsh_csv(c: Correlators) -> str:
     header = ",".join(("x00", "x01", "x10", "x11") + CHSH_LABELS)
-    return header + "\n" + ",".join(format_17g(v) for v in vals) + "\n"
+    return header + "\n" + ",".join(format_17g(v) for v in c.as_tuple() + chsh_values(c)) + "\n"

@@ -17,9 +17,9 @@ from .boxes import (
     Correlators,
     InvalidBoxError,
     SignalingBoxError,
-    chsh_csv,
+    _chsh_csv,
+    _correlators,
     chsh_values,
-    correlators,
     is_non_signaling,
     load_box,
     nl_correlators,
@@ -31,8 +31,6 @@ from .boxes import (
     check_tol,
 )
 from .wiring import MAX_XOR_COPIES
-
-DEFAULT_CLI_XOR_DEPTH = 10
 
 
 class _CliFailure(Exception):
@@ -79,10 +77,10 @@ def _cmd_validate(args) -> int:
 def _cmd_chsh(args) -> int:
     box = load_box(args.box)
     require_non_signaling(box, args.tol)
+    c = _correlators(box)
     if args.format == "csv":
-        sys.stdout.write(chsh_csv(box, args.tol))
+        sys.stdout.write(_chsh_csv(c))
         return 0
-    c = correlators(box, args.tol)
     vals = chsh_values(c)
     if args.format == "json":
         print(json.dumps({
@@ -116,7 +114,7 @@ def _cmd_quantum(args) -> int:
         box = load_box(args.box)
         verdict = quantum.is_quantum_box(box, args.tol)
         ok, slack, flagged = verdict.quantum, verdict.slack, verdict.correlator_level_only
-        tsi = quantum.tsirelson_check(correlators(box, args.tol), args.tol)
+        tsi = quantum.tsirelson_check(_correlators(box), args.tol)
     if args.format == "json":
         print(json.dumps({
             "quantum": ok,
@@ -133,22 +131,13 @@ def _cmd_quantum(args) -> int:
 
 
 def _cmd_distill(args) -> int:
-    n_values = _parse_range(args.n)
-    cap = args.max_n
-    if cap > MAX_XOR_COPIES:
-        raise _CliFailure(2, f"--max-n cannot exceed {MAX_XOR_COPIES}")
-    if max(n_values) > cap:
-        raise _CliFailure(2, f"n up to {max(n_values)} exceeds the cap {cap}; raise --max-n (max {MAX_XOR_COPIES})")
-    if args.family == "eps" and args.delta != 0.0:
-        raise _CliFailure(2, "--family eps does not take --delta")
-    delta = args.delta
-    report = distill.distillation_report(args.eps, delta, n_values, args.tol)
+    report = distill.distillation_report(args.eps, args.delta, _parse_range(args.n), args.tol)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     elif args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
-        print(f"resource eps={args.eps:g} delta={delta:g} quantum={report.resource_quantum}")
+        print(f"resource eps={args.eps:g} delta={args.delta:g} quantum={report.resource_quantum}")
         print(f"{'n':>3} {'nl_closed':>12} {'nl_brute':>12} distilled")
         for row in report.rows:
             print(f"{row.n:>3} {row.nl_closed:>12.9f} {row.nl_brute:>12.9f} {row.distilled}")
@@ -196,7 +185,6 @@ def _cmd_depolarize(args) -> int:
 def _cmd_game(args) -> int:
     if args.box is not None:
         resource = load_box(args.box)
-        require_non_signaling(resource, args.tol)
     elif args.eps is not None:
         resource = p_eps(args.eps) if args.delta is None else p_eps_delta(args.eps, args.delta)
     else:
@@ -243,12 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quantum)
 
     p = sub.add_parser("distill", help="XOR-protocol distillation report over a range of n")
-    p.add_argument("--family", choices=("eps", "eps-delta"), default="eps-delta")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--n", required=True, help="copy count, N or LO..HI")
-    p.add_argument("--max-n", type=int, default=DEFAULT_CLI_XOR_DEPTH,
-                   help=f"cap on brute-force depth (default {DEFAULT_CLI_XOR_DEPTH}, max {MAX_XOR_COPIES})")
+    p.add_argument("--n", required=True, help=f"copy count, N or LO..HI, within 1..{MAX_XOR_COPIES}")
     common(p)
     p.set_defaults(func=_cmd_distill)
 

@@ -27,9 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, Correlators, FamilyParams, check_tol, format_17g, nl, p_eps_delta
+from .boxes import (
+    DEFAULT_TOL,
+    Correlators,
+    FamilyParams,
+    _correlators,
+    check_tol,
+    format_17g,
+    nl_correlators,
+    p_eps_delta,
+    require_non_signaling,
+)
 from .quantum import is_quantum_correlators
-from .wiring import compose_xor
+from .wiring import _check_copies, _compose_xor
 
 # Strictness margin for calling a point distillable; keeps boundary points
 # from flipping on rounding noise.
@@ -48,11 +58,7 @@ _REFINE_TO = 1e-8
 
 def nl_closed_eps(eps: float, n: int) -> float:
     """3 - (1 - 2*eps)**n, the distillation curve of ``p_eps``."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return 3.0 - (1.0 - 2.0 * eps) ** n
+    return nl_closed_eps_delta(eps, 0.0, n)
 
 
 def nl_closed_eps_delta(eps: float, delta: float, n: int) -> float:
@@ -134,15 +140,21 @@ def distillation_report(
     n_values: list[int] | range,
     tol: float = DEFAULT_TOL,
 ) -> DistillationReport:
-    """Evaluate the XOR protocol at each n, both closed-form and brute-force."""
+    """Evaluate the XOR protocol at each n, both closed-form and brute-force.
+
+    Raises ``ValueError`` unless every n is an int in 1..16.
+    """
     resource = p_eps_delta(eps, delta)
+    for n in n_values:
+        _check_copies(n)
+    require_non_signaling(resource, tol)
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
     rows = []
     for n in n_values:
         closed = nl_closed_eps_delta(eps, delta, n)
-        brute = nl(compose_xor(resource, n, tol), tol)
+        brute = nl_correlators(_correlators(_compose_xor(resource, n, tol)))
         if abs(closed - brute) > tol:
             raise AssertionError(
                 f"closed form {closed!r} disagrees with composition {brute!r} at n={n}"

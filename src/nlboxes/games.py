@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .boxes import DEFAULT_TOL, Box, correlators, nl, require_non_signaling
-from .wiring import compose_xor
+from .boxes import DEFAULT_TOL, Box, _correlators, chsh_values, nl_correlators, require_non_signaling
+from .wiring import _check_copies, _compose_xor
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,18 @@ class AndGameStrategy:
     m: int = 1
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        _check_copies(self.m, "m")
 
 
 def _played_box(strategy: AndGameStrategy, tol: float) -> Box:
+    """The resource, checked, then XOR-composed over m copies."""
+    require_non_signaling(strategy.resource, tol)
     if strategy.m == 1:
-        require_non_signaling(strategy.resource, tol)
         return strategy.resource
-    return compose_xor(strategy.resource, strategy.m, tol)
+    return _compose_xor(strategy.resource, strategy.m, tol)
 
 
-def and_game_success(strategy: AndGameStrategy, tol: float = DEFAULT_TOL) -> float:
-    """Exact win probability under uniform inputs, by full enumeration."""
-    box = _played_box(strategy, tol)
+def _win_probability(box: Box) -> float:
     m = box.matrix
     total = 0.0
     for x1, x2, y1, y2 in product((0, 1), repeat=4):
@@ -58,10 +56,14 @@ def and_game_success(strategy: AndGameStrategy, tol: float = DEFAULT_TOL) -> flo
     return total / 16.0
 
 
+def and_game_success(strategy: AndGameStrategy, tol: float = DEFAULT_TOL) -> float:
+    """Exact win probability under uniform inputs, by full enumeration."""
+    return _win_probability(_played_box(strategy, tol))
+
+
 def and_game_success_closed(strategy: AndGameStrategy, tol: float = DEFAULT_TOL) -> float:
     """Closed form q**2 + (1-q)**2 with q = (4 + S)/8 of the played box."""
-    c = correlators(_played_box(strategy, tol), tol)
-    s = c.x00 + c.x01 + c.x10 - c.x11
+    s = chsh_values(_correlators(_played_box(strategy, tol)))[0]
     q = (4.0 + s) / 8.0
     return q * q + (1.0 - q) * (1.0 - q)
 
@@ -112,13 +114,11 @@ class GameResult:
 
 def play_and_game(resource: Box, m: int = 1, tol: float = DEFAULT_TOL) -> GameResult:
     """Evaluate the fixed cross-term strategy and report it against the classical bar."""
-    strategy = AndGameStrategy(resource, m)
-    played = _played_box(strategy, tol)
-    c = correlators(played, tol)
+    played = _played_box(AndGameStrategy(resource, m), tol)
     return GameResult(
-        resource_nl=nl(resource, tol),
+        resource_nl=nl_correlators(_correlators(resource)),
         m=m,
-        s_value=c.x00 + c.x01 + c.x10 - c.x11,
-        success=and_game_success(strategy, tol),
+        s_value=chsh_values(_correlators(played))[0],
+        success=_win_probability(played),
         classical_baseline=classical_and_optimum(),
     )

@@ -13,12 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boxes import (
     DEFAULT_TOL,
     Box,
     Correlators,
+    _correlators,
+    _marginals,
     chsh_values,
-    correlators,
+    nl_correlators,
     require_non_signaling,
 )
 
@@ -33,15 +37,12 @@ def _arcsin(value: float, tol: float) -> float:
 
 
 def arcsin_sums(c: Correlators, tol: float = DEFAULT_TOL) -> tuple[float, float, float, float]:
-    """The four signed arcsine combinations, one per input pair."""
-    grid = ((c.x00, c.x01), (c.x10, c.x11))
-    asin = ((_arcsin(grid[0][0], tol), _arcsin(grid[0][1], tol)),
-            (_arcsin(grid[1][0], tol), _arcsin(grid[1][1], tol)))
-    vals = []
-    for x in (0, 1):
-        for y in (0, 1):
-            vals.append(asin[x][y] + asin[x][1 - y] + asin[1 - x][y] - asin[1 - x][1 - y])
-    return tuple(vals)
+    """The four signed arcsine combinations, one per input pair.
+
+    They are the first four CHSH expressions taken over the arcsines of
+    the correlators.
+    """
+    return chsh_values(Correlators(*(_arcsin(v, tol) for v in c.as_tuple())))[:4]
 
 
 def is_quantum_correlators(c: Correlators, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
@@ -72,13 +73,9 @@ class QuantumVerdict:
 
 
 def has_uniform_marginals(box: Box, tol: float = DEFAULT_TOL) -> bool:
-    m = box.matrix
-    for r in range(4):
-        if abs(float(m[r, 0] + m[r, 1]) - 0.5) > tol:
-            return False
-        if abs(float(m[r, 0] + m[r, 2]) - 0.5) > tol:
-            return False
-    return True
+    """True iff P(a=0|xy) and P(b=0|xy) are 1/2 within ``tol`` on every row."""
+    alice, bob = _marginals(box)
+    return bool(np.abs(np.concatenate((alice[:, 0], bob[:, 0])) - 0.5).max() <= tol)
 
 
 def is_quantum_box(box: Box, tol: float = DEFAULT_TOL) -> QuantumVerdict:
@@ -89,10 +86,10 @@ def is_quantum_box(box: Box, tol: float = DEFAULT_TOL) -> QuantumVerdict:
     full box. Otherwise the verdict is flagged ``correlator_level_only``.
     """
     require_non_signaling(box, tol)
-    ok, slack = is_quantum_correlators(correlators(box, tol), tol)
+    ok, slack = is_quantum_correlators(_correlators(box), tol)
     return QuantumVerdict(ok, slack, correlator_level_only=not has_uniform_marginals(box, tol))
 
 
 def tsirelson_check(c: Correlators, tol: float = DEFAULT_TOL) -> bool:
     """Necessary condition only: largest CHSH value at most 2*sqrt(2)."""
-    return max(chsh_values(c)) <= TSIRELSON_BOUND + tol
+    return nl_correlators(c) <= TSIRELSON_BOUND + tol

@@ -60,7 +60,7 @@ from itertools import product
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, Box, nl, require_non_signaling
+from .boxes import CHSH_SIGNS, DEFAULT_TOL, Box, _correlators, nl_correlators, require_non_signaling
 from .wiring import AdaptiveStrategy, Wiring2, compose_wiring2
 
 RAW_STRATEGY_COUNT = 1 << 15
@@ -201,12 +201,8 @@ _NEAR_MAX = 1e-12
 # Alice rows per product in the pair scan; the result does not depend on it.
 _CHUNK = 64
 
-# The eight CHSH functionals as signs over (Bob input y, Alice input x): S,
-# the three with the minus sign moved, and the negations of all four.
-_CHSH_SIGNS = np.array([
-    [[sign * (-1 if (x, y) == (1 - x0, 1 - y0) else 1) for x in (0, 1)] for y in (0, 1)]
-    for sign in (1, -1) for x0, y0 in product((0, 1), repeat=2)
-])
+# The eight CHSH functionals as signs over (Bob input y, Alice input x), S first.
+_CHSH_SIGNS = CHSH_SIGNS.reshape(8, 2, 2).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -290,7 +286,7 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     """
     started = time.perf_counter()
     require_non_signaling(box, tol)
-    nl_in = nl(box, tol)
+    nl_in = nl_correlators(_correlators(box))
 
     dedup = _dedup()
     orbits = _orbits()
@@ -316,7 +312,7 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
         AdaptiveStrategy.decode(int(dedup.rep_codes[best_si])),
         AdaptiveStrategy.decode(int(dedup.rep_codes[best_ti])),
     )
-    nl_out = nl(compose_wiring2(box, wiring, tol), tol)
+    nl_out = nl_correlators(_correlators(compose_wiring2(box, wiring, tol)))
     if abs(nl_out - best_val) > 1e-9:
         raise AssertionError(
             f"scan value {best_val!r} disagrees with reference composition {nl_out!r}"

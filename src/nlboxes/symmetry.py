@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, Box, _clean, require_non_signaling
+from .boxes import _CORR_SIGNS, CHSH_SIGNS, DEFAULT_TOL, Box, _clean, require_non_signaling
 from .wiring import AdaptiveStrategy
 
 
@@ -61,10 +61,9 @@ def relabelings() -> tuple[Relabeling, ...]:
     )
 
 
-# Coefficients of S = X00 + X01 + X10 - X11 on the 16 flat cells.
-_ROW_SIGNS = (1, 1, 1, -1)
-_COL_SIGNS = (1, -1, -1, 1)
-_S_WEIGHTS = np.array([_ROW_SIGNS[r] * _COL_SIGNS[c] for r in range(4) for c in range(4)])
+# Coefficients of S on the 16 flat cells: its sign on the correlator of the
+# input pair (row) times that correlator's sign on the output pair (column).
+_S_WEIGHTS = np.outer(CHSH_SIGNS[0], _CORR_SIGNS).ravel()
 
 
 @lru_cache(maxsize=1)

@@ -32,6 +32,14 @@ from .boxes import (
 MAX_XOR_COPIES = 16
 
 
+def _check_copies(n, name: str = "n") -> None:
+    """Raise ``ValueError`` unless ``n`` is an int (not a bool) in 1..16."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_XOR_COPIES:
+        raise ValueError(f"{name} must be in 1..{MAX_XOR_COPIES}, got {n}")
+
+
 def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     """Distribution of the XOR of the outputs of n parallel copies.
 
@@ -40,11 +48,13 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     pairs, which sums the same products as enumerating all 4**n outcome
     tuples. Requires 1 <= n <= 16.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_XOR_COPIES:
-        raise ValueError(f"n must be in 1..{MAX_XOR_COPIES}, got {n}")
+    _check_copies(n)
     require_non_signaling(box, tol)
+    return _compose_xor(box, n, tol)
+
+
+def _compose_xor(box: Box, n: int, tol: float) -> Box:
+    """``compose_xor`` of a box and copy count the caller has already checked."""
     rows = []
     for r in range(4):
         row = box.matrix[r]
@@ -63,8 +73,7 @@ def xor_correlator_law(box: Box, n: int, tol: float = DEFAULT_TOL) -> Correlator
     The XOR of independent +-1 variables multiplies their expectations, so
     this must agree with the brute-force composition entrywise.
     """
-    if not 1 <= n <= MAX_XOR_COPIES:
-        raise ValueError(f"n must be in 1..{MAX_XOR_COPIES}, got {n}")
+    _check_copies(n)
     c = correlators(box, tol)
     return Correlators(c.x00**n, c.x01**n, c.x10**n, c.x11**n)
 

@@ -92,9 +92,9 @@ def test_validate_entry_above_one():
 
 
 def test_constructor_range_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\], got 0\.0$"):
         nb.p_eps(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\], got 1\.2$"):
         nb.p_eps(1.2)
     with pytest.raises(ValueError):
         nb.p_eps_delta(0.5, -0.01)

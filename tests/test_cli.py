@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nlboxes as nb
+from nlboxes import boxes, cli
 from nlboxes.cli import run
 
 
@@ -107,7 +108,7 @@ def test_quantum_without_input_exits_two(capsys):
 
 
 def test_distill_csv_matches_closed_form(capsys):
-    assert run(["distill", "--family", "eps", "--eps", "0.1", "--n", "1..5", "--format", "csv"]) == 0
+    assert run(["distill", "--eps", "0.1", "--n", "1..5", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,eps,delta,nl_in,nl_out,quantum,distillable"
     assert len(lines) == 6
@@ -118,10 +119,48 @@ def test_distill_csv_matches_closed_form(capsys):
 
 
 def test_distill_depth_cap(capsys):
-    assert run(["distill", "--eps", "0.1", "--n", "1..12"]) == 2
-    assert run(["distill", "--eps", "0.1", "--n", "1..12", "--max-n", "12"]) == 0
-    capsys.readouterr()
-    assert run(["distill", "--eps", "0.1", "--n", "1..12", "--max-n", "30"]) == 2
+    assert run(["distill", "--eps", "0.1", "--n", "1..16", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["n"] for row in rows] == list(range(1, 17))
+    for bad in ("1..17", "0..3", "17"):
+        assert run(["distill", "--eps", "0.1", "--n", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "n must be in 1..16" in captured.err
+    for gone in (["--max-n", "12"], ["--family", "eps"]):
+        assert run(["distill", "--eps", "0.1", "--n", "1..3", *gone]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["validate", "{box}"], 2),
+        (["chsh", "{box}"], 1),
+        (["chsh", "{box}", "--format", "csv"], 1),
+        (["chsh", "{box}", "--format", "json"], 1),
+        (["quantum", "{box}"], 1),
+        (["depolarize", "{box}"], 1),
+        (["game", "{box}"], 1),
+        (["game", "{box}", "--m", "3"], 1),
+        (["search", "{box}"], 3),  # entry check, then compose_wiring2's input and output checks
+        (["distill", "--eps", "0.1", "--n", "1..5"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_validate_calls_per_command(argv, calls, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p_eps.json"
+    path.write_text(nb.p_eps(0.1).to_json())
+    seen = []
+    original = boxes.validate
+
+    def counted(box, tol=nb.DEFAULT_TOL):
+        seen.append(box)
+        return original(box, tol)
+
+    monkeypatch.setattr(boxes, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted)
+    assert run([str(path) if a == "{box}" else a for a in argv]) == 0
+    assert len(seen) == calls
 
 
 def test_distill_rejects_bad_params(capsys):

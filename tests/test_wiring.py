@@ -94,6 +94,22 @@ def test_compose_xor_bounds_and_errors():
         )
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, 0, 17])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: nb.compose_xor(nb.p_eps(0.1), n),
+        lambda n: nb.xor_correlator_law(nb.p_eps(0.1), n),
+        lambda n: nb.AndGameStrategy(nb.p_eps(0.1), n),
+        lambda n: nb.play_and_game(nb.p_eps(0.1), n),
+    ],
+    ids=["compose_xor", "xor_correlator_law", "AndGameStrategy", "play_and_game"],
+)
+def test_copy_count_rejected_alike(call, n):
+    with pytest.raises(ValueError, match=r"^[nm] must be (an integer|in 1\.\.16), got "):
+        call(n)
+
+
 def test_compose_xor_deep_copy_count():
     box = nb.p_eps(0.3)
     got = nb.nl(nb.compose_xor(box, 16))
