@@ -70,9 +70,6 @@ class Box:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _as_matrix(self.matrix))
 
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.matrix[2 * x + y, 2 * a + b])
-
     def to_json_dict(self) -> dict:
         return {"matrix": [[float(v) for v in row] for row in self.matrix]}
 

@@ -1,17 +1,20 @@
 """Exhaustive search over deterministic adaptive two-copy wirings.
 
-There are 32768 raw strategies per party. Many are interchangeable: they
-induce the same composite box for every non-signaling resource. The dedup
-here is exact, not heuristic. A strategy enters every composite only
-through its 0/1 tensor u over (party input, final bit) x (box outcomes,
-box inputs). Split u into four blocks, one per (party input, final bit),
-and read each block as a 4x4 matrix B over (a1, x1) x (a2, x2), with
-(a, x) at index 2*a + x. A composite entry contracts B with the two
-copies' tables P(a1 b1|x1 y1) P(a2 b2|x2 y2), each read as a vector over
-the party's own (a, x). No-signaling says exactly that every such vector
-satisfies e(0,0) + e(1,0) = e(0,1) + e(1,1): summing over a removes x. So
-each vector is K c for the 4x3 integer basis K of that relation's
-orthogonal complement, and B enters only through the 3x3 matrix K^T B K.
+There are 32768 raw strategies per party, one per 15-bit code; the
+``AdaptiveStrategy`` docstring gives the code layout. Many are
+interchangeable: they induce the same composite box for every
+non-signaling resource. The dedup here is exact, not heuristic. A
+strategy enters every composite only through its 0/1 tensor u over
+(party input, final bit) x (box outcomes, box inputs), read for all
+codes at once off one table of their bits. Split u into four blocks, one
+per (party input, final bit), and read each block as a 4x4 matrix B over
+(a1, x1) x (a2, x2), with (a, x) at index 2*a + x. A composite entry
+contracts B with the two copies' tables P(a1 b1|x1 y1) P(a2 b2|x2 y2),
+each read as a vector over the party's own (a, x). No-signaling says
+exactly that every such vector satisfies e(0,0) + e(1,0) = e(0,1) +
+e(1,1): summing over a removes x. So each vector is K c for the 4x3
+integer basis K of that relation's orthogonal complement, and B enters
+only through the 3x3 matrix K^T B K.
 The key is those four matrices, 36 small integers per code: equal keys
 give identical composites on every non-signaling resource. Codes with
 equal keys collapse to the one with the smallest encoding; the resulting
@@ -66,58 +69,27 @@ from .wiring import AdaptiveStrategy, Wiring2, compose_wiring2
 RAW_STRATEGY_COUNT = 1 << 15
 
 
-def _strategy_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decode of strategy codes into map tables."""
-    order = (codes >> 14) & 1
-    f1 = np.stack([(codes >> (13 - x)) & 1 for x in (0, 1)], axis=1)
-    f2 = np.stack(
-        [
-            np.stack([(codes >> (11 - 2 * x - o)) & 1 for o in (0, 1)], axis=1)
-            for x in (0, 1)
-        ],
-        axis=1,
-    )
-    out = np.stack(
-        [
-            np.stack(
-                [
-                    np.stack([(codes >> (7 - 4 * x - 2 * o1 - o2)) & 1 for o2 in (0, 1)], axis=1)
-                    for o1 in (0, 1)
-                ],
-                axis=1,
-            )
-            for x in (0, 1)
-        ],
-        axis=1,
-    )
-    return order, f1, f2, out
-
-
-def _branches(tables, x: int, a1: int, a2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Box inputs and final bit on party input x when the copies return (a1, a2)."""
-    order, f1, f2, out = tables
-    idx = np.arange(len(order))
-    a_first = np.where(order == 0, a1, a2)
-    a_second = np.where(order == 0, a2, a1)
-    x_first = f1[:, x]
-    x_second = f2[idx, x, a_first]
-    x1 = np.where(order == 0, x_first, x_second)
-    x2 = np.where(order == 0, x_second, x_first)
-    a_out = out[idx, x, a_first, a_second]
-    return x1, x2, a_out
-
-
 @lru_cache(maxsize=1)
 def _u_tensor() -> np.ndarray:
     """0/1 tensor of every raw code: (code, party input x final bit, outcomes x inputs)."""
     codes = np.arange(RAW_STRATEGY_COUNT)
-    tables = _strategy_tables(codes)
+    # The code's bits, sliced into the maps as ``AdaptiveStrategy.decode`` does.
+    bits = (codes[:, None] >> np.arange(14, -1, -1)) & 1
+    swapped = bits[:, 0] == 1  # copy 1 is queried first
+    first_input = bits[:, 1:3]
+    second_input = bits[:, 3:7].reshape(-1, 2, 2)
+    output = bits[:, 7:].reshape(-1, 2, 2, 2)
     u = np.zeros((RAW_STRATEGY_COUNT, 4, 16), dtype=np.int8)
-    for x in (0, 1):
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                x1, x2, a_out = _branches(tables, x, a1, a2)
-                u[codes, 2 * x + a_out, (a1 * 2 + a2) * 4 + x1 * 2 + x2] = 1
+    for x, a1, a2 in product((0, 1), repeat=3):
+        # As in ``AdaptiveStrategy.trace``, for every code at once.
+        o_first = np.where(swapped, a2, a1)
+        o_second = np.where(swapped, a1, a2)
+        i_first = first_input[:, x]
+        i_second = second_input[codes, x, o_first]
+        final = output[codes, x, o_first, o_second]
+        x1 = np.where(swapped, i_second, i_first)
+        x2 = np.where(swapped, i_first, i_second)
+        u[codes, 2 * x + final, (a1 * 2 + a2) * 4 + x1 * 2 + x2] = 1
     return u
 
 
@@ -184,7 +156,8 @@ _PARTY_RELABELINGS = tuple(product((0, 1), repeat=3))
 
 def _relabel_codes(codes: np.ndarray, flip_x: int, flip_a: int, a_flip_with_x: int) -> np.ndarray:
     """Codes of the strategies that run ``codes`` on input x ^ flip_x and
-    flip the final bit by flip_a ^ (a_flip_with_x & x)."""
+    flip the final bit by flip_a ^ (a_flip_with_x & x). The masks follow the
+    code layout in ``AdaptiveStrategy``."""
     if flip_x:  # swap the x = 0 and x = 1 halves of each map; keep the order bit
         codes = (
             (codes & 0x4000)

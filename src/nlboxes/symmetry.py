@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .boxes import _CORR_SIGNS, CHSH_SIGNS, DEFAULT_TOL, Box, _clean, require_non_signaling
+from .boxes import _CORR_SIGNS, CHSH_SIGNS, DEFAULT_TOL, Box, _clean, require_non_signaling, require_valid
 from .wiring import AdaptiveStrategy
 
 
@@ -67,14 +67,23 @@ _S_WEIGHTS = np.outer(CHSH_SIGNS[0], _CORR_SIGNS).ravel()
 
 
 @lru_cache(maxsize=1)
+def _permutations() -> np.ndarray:
+    """Row i is ``relabelings()[i].permutation()``."""
+    table = np.stack([sigma.permutation() for sigma in relabelings()])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=1)
+def _stabilizer_rows() -> np.ndarray:
+    """Rows of ``_permutations()`` that leave the coefficients of S unchanged."""
+    return np.flatnonzero((_S_WEIGHTS[_permutations()] == _S_WEIGHTS).all(axis=1))
+
+
+@lru_cache(maxsize=1)
 def chsh_stabilizer() -> tuple[Relabeling, ...]:
     """Relabelings that preserve S as a functional on all boxes."""
-    keep = []
-    for sigma in relabelings():
-        perm = sigma.permutation()
-        if np.array_equal(_S_WEIGHTS[perm], _S_WEIGHTS):
-            keep.append(sigma)
-    return tuple(keep)
+    return tuple(relabelings()[i] for i in _stabilizer_rows())
 
 
 def chsh_functional(box: Box) -> float:
@@ -89,21 +98,10 @@ def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:
     with S taken from the input box.
     """
     require_non_signaling(box, tol)
-    flat = np.asarray(box.matrix).reshape(16)
-    group = chsh_stabilizer()
-    acc = np.zeros(16)
-    for sigma in group:
-        acc += flat[sigma.permutation()]
-    return Box(_clean((acc / len(group)).reshape(4, 4), tol))
-
-
-def _canonical_box(box: Box) -> Box:
-    best = None
-    for sigma in relabelings():
-        candidate = tuple(np.asarray(sigma.apply(box).matrix).reshape(16))
-        if best is None or candidate < best:
-            best = candidate
-    return Box(np.array(best).reshape(4, 4))
+    images = np.asarray(box.matrix).reshape(16)[_permutations()[_stabilizer_rows()]]
+    # Summed one image at a time from 0.0, so rounding and signed zeros do
+    # not depend on how numpy would reduce the stack.
+    return Box(_clean((sum(images, 0.0) / len(images)).reshape(4, 4), tol))
 
 
 def canonical_form(obj: Box | AdaptiveStrategy):
@@ -112,10 +110,14 @@ def canonical_form(obj: Box | AdaptiveStrategy):
     Boxes are reduced to the lexicographically smallest table over the 64
     relabelings. Strategies are reduced to the smallest encoding among all
     strategies with identical observable behavior (same composite box for
-    every non-signaling resource).
+    every non-signaling resource). A box that is not row-stochastic raises
+    ``InvalidBoxError``.
     """
     if isinstance(obj, Box):
-        return _canonical_box(obj)
+        require_valid(obj)
+        images = np.asarray(obj.matrix).reshape(16)[_permutations()]
+        # lexsort's last key is the primary one; ties keep the first relabeling.
+        return Box(images[np.lexsort(images.T[::-1])[0]].reshape(4, 4))
     if isinstance(obj, AdaptiveStrategy):
         from .search import canonical_strategy
 

@@ -95,6 +95,10 @@ class AdaptiveStrategy:
     (party input, first outcome, second outcome) to the final bit, with
     outcomes listed in query order. There are 2*4*16*256 = 32768 such
     strategies.
+
+    A strategy's 15-bit code is the bits of its four maps in field order,
+    most significant bit first: ``order``, ``first_input[x]``,
+    ``second_input[x][o]``, ``output[x][o1][o2]``.
     """
 
     order: int
@@ -133,31 +137,20 @@ class AdaptiveStrategy:
         return inputs, final
 
     def encode(self) -> int:
-        """Pack the maps into a 15-bit integer; lexicographic on the maps."""
-        code = self.order << 14
-        code |= self.first_input[0] << 13 | self.first_input[1] << 12
-        for x in (0, 1):
-            for o in (0, 1):
-                code |= self.second_input[x][o] << (11 - 2 * x - o)
-        for x in (0, 1):
-            for o1 in (0, 1):
-                for o2 in (0, 1):
-                    code |= self.output[x][o1][o2] << (7 - 4 * x - 2 * o1 - o2)
+        """Pack the maps into the 15-bit code; lexicographic on the maps."""
+        code = self.order
+        for hi, lo in (self.first_input, *self.second_input, *self.output[0], *self.output[1]):
+            code = code << 2 | hi << 1 | lo
         return code
 
     @classmethod
     def decode(cls, code: int) -> "AdaptiveStrategy":
+        """The strategy whose ``encode`` is ``code``."""
         if not 0 <= code < 1 << 15:
             raise ValueError(f"strategy code out of range: {code}")
-        first_input = ((code >> 13) & 1, (code >> 12) & 1)
-        second_input = tuple(
-            tuple((code >> (11 - 2 * x - o)) & 1 for o in (0, 1)) for x in (0, 1)
-        )
-        output = tuple(
-            tuple(tuple((code >> (7 - 4 * x - 2 * o1 - o2)) & 1 for o2 in (0, 1)) for o1 in (0, 1))
-            for x in (0, 1)
-        )
-        return cls((code >> 14) & 1, first_input, second_input, output)
+        bits = [(code >> i) & 1 for i in range(14, -1, -1)]
+        pairs = [tuple(bits[i:i + 2]) for i in range(1, 15, 2)]
+        return cls(bits[0], pairs[0], (pairs[1], pairs[2]), ((pairs[3], pairs[4]), (pairs[5], pairs[6])))
 
     def to_json_dict(self) -> dict:
         return {

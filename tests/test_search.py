@@ -43,6 +43,19 @@ def test_partition_is_pinned():
     assert np.array_equal(dedup.class_of_code[dedup.rep_codes], np.arange(6212))
 
 
+def test_u_tensor_matches_trace():
+    # Each (code, x, outcomes) marks one cell: the final bit's block, at the
+    # outcomes and the inputs that ``trace`` reports.
+    codes = np.random.default_rng(8).choice(search.RAW_STRATEGY_COUNT, size=2048, replace=False)
+    expected = np.zeros((len(codes), 4, 16), dtype=np.int8)
+    for i, code in enumerate(codes):
+        strat = nb.AdaptiveStrategy.decode(int(code))
+        for x, a1, a2 in product((0, 1), repeat=3):
+            (x1, x2), final = strat.trace(x, (a1, a2))
+            expected[i, 2 * x + final, (2 * a1 + a2) * 4 + 2 * x1 + x2] = 1
+    assert np.array_equal(search._u_tensor()[codes], expected)
+
+
 def test_canonical_strategy_is_a_fixed_point():
     codes = np.random.default_rng(7).integers(0, nb.RAW_STRATEGY_COUNT, size=500)
     reps = set(search._dedup().rep_codes.tolist())

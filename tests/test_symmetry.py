@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import nlboxes as nb
-from conftest import assert_boxes_close, random_ns_box
+from nlboxes.boxes import _clean
+from nlboxes.symmetry import _S_WEIGHTS
+from conftest import assert_boxes_close, ns_vertices, random_ns_box, random_valid_box
 
 TOL = 1e-9
 
@@ -135,3 +137,69 @@ def test_canonical_strategy_collapses_equivalent_plans():
 def test_canonical_form_type_error():
     with pytest.raises(TypeError):
         nb.canonical_form(42)
+
+
+def _canonical_by_tuples(box: nb.Box) -> nb.Box:
+    """Reference canonical form: the smallest of the 64 relabeled tables as tuples."""
+    best = None
+    for sigma in nb.relabelings():
+        candidate = tuple(np.asarray(sigma.apply(box).matrix).reshape(16))
+        if best is None or candidate < best:
+            best = candidate
+    return nb.Box(np.array(best).reshape(4, 4))
+
+
+def _depolarize_by_loop(box: nb.Box) -> nb.Box:
+    """Reference depolarization: add the images under each S-preserving relabeling."""
+    flat = np.asarray(box.matrix).reshape(16)
+    group = [s for s in nb.relabelings() if np.array_equal(_S_WEIGHTS[s.permutation()], _S_WEIGHTS)]
+    assert tuple(group) == nb.chsh_stabilizer()
+    acc = np.zeros(16)
+    for sigma in group:
+        acc += flat[sigma.permutation()]
+    return nb.Box(_clean((acc / len(group)).reshape(4, 4)))
+
+
+def _with_negative_zeros(box: nb.Box, share: float, rng: np.random.Generator) -> nb.Box:
+    """The box with a random share of its zeros made -0.0; at 0.5, tied tables differ in sign."""
+    m = np.array(box.matrix)
+    m[(m == 0.0) & (rng.random(m.shape) < share)] = -0.0
+    return nb.Box(m)
+
+
+def _oracle_boxes() -> tuple[list[nb.Box], list[nb.Box]]:
+    """Seeded non-signaling and signaling boxes, many with zero ties and -0.0 entries."""
+    rng = np.random.default_rng(31)
+    vertices = ns_vertices()
+    pairs = [nb.mix(vertices[i], vertices[j], 0.5) for i, j in rng.integers(0, len(vertices), (100, 2))]
+    sparse = vertices + pairs
+    ns = sparse + [_with_negative_zeros(b, share, rng) for share in (0.5, 1.0) for b in sparse]
+    ns += [random_ns_box(rng) for _ in range(100)]
+    signaling = [random_valid_box(rng) for _ in range(100)]
+    for _ in range(50):
+        m = np.asarray(random_valid_box(rng).matrix).copy()
+        m[:, rng.integers(4)] = 0.0
+        signaling.append(_with_negative_zeros(nb.Box(m / m.sum(axis=1, keepdims=True)), 0.5, rng))
+    return ns, signaling
+
+
+def test_table_paths_match_loop_oracles_bit_for_bit():
+    ns, signaling = _oracle_boxes()
+    assert len(ns) + len(signaling) >= 500
+    negative_zeros = 0
+    for box in ns + signaling:
+        got = np.asarray(nb.canonical_form(box).matrix)
+        assert got.tobytes() == np.asarray(_canonical_by_tuples(box).matrix).tobytes()
+        negative_zeros += bool(np.signbit(got[got == 0.0]).any())
+    for box in ns:
+        got = np.asarray(nb.depolarize(box).matrix)
+        assert got.tobytes() == np.asarray(_depolarize_by_loop(box).matrix).tobytes()
+    assert negative_zeros >= 100  # the sign of zero was really compared
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+def test_canonical_form_rejects_invalid_boxes(value):
+    m = np.array(nb.p_eps(0.3).matrix)
+    m[1, 2] = value
+    with pytest.raises(nb.InvalidBoxError):
+        nb.canonical_form(nb.Box(m))

@@ -150,13 +150,36 @@ def test_nl_monotone_toward_three():
     assert nb.nl_closed_eps(0.1, 40) == pytest.approx(3.0, abs=1e-3)
 
 
-def test_strategy_encode_decode_round_trip(rng):
-    for _ in range(500):
-        code = int(rng.integers(0, 1 << 15))
+def _encode_by_shifts(s: nb.AdaptiveStrategy) -> int:
+    """Reference encoding: each map bit shifted to its fixed position."""
+    code = s.order << 14
+    code |= s.first_input[0] << 13 | s.first_input[1] << 12
+    for x in (0, 1):
+        for o in (0, 1):
+            code |= s.second_input[x][o] << (11 - 2 * x - o)
+    for x in (0, 1):
+        for o1 in (0, 1):
+            for o2 in (0, 1):
+                code |= s.output[x][o1][o2] << (7 - 4 * x - 2 * o1 - o2)
+    return code
+
+
+def _decode_by_shifts(code: int) -> nb.AdaptiveStrategy:
+    """Reference decoding: each map bit read from its fixed position."""
+    first_input = ((code >> 13) & 1, (code >> 12) & 1)
+    second_input = tuple(tuple((code >> (11 - 2 * x - o)) & 1 for o in (0, 1)) for x in (0, 1))
+    output = tuple(
+        tuple(tuple((code >> (7 - 4 * x - 2 * o1 - o2)) & 1 for o2 in (0, 1)) for o1 in (0, 1))
+        for x in (0, 1)
+    )
+    return nb.AdaptiveStrategy((code >> 14) & 1, first_input, second_input, output)
+
+
+def test_strategy_encode_decode_round_trip():
+    for code in range(1 << 15):
         strat = nb.AdaptiveStrategy.decode(code)
-        assert strat.encode() == code
-        again = nb.AdaptiveStrategy.decode(strat.encode())
-        assert again == strat
+        assert strat == _decode_by_shifts(code)
+        assert strat.encode() == _encode_by_shifts(strat) == code
     assert nb.AdaptiveStrategy.decode(nb.xor_strategy().encode()) == nb.xor_strategy()
     with pytest.raises(ValueError):
         nb.AdaptiveStrategy.decode(1 << 15)
