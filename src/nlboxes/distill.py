@@ -23,14 +23,17 @@ check and e < 1. What remains is a 1-D problem in delta.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import (
     DEFAULT_TOL,
+    Box,
     Correlators,
     FamilyParams,
+    _clean,
     _correlators,
     check_tol,
     format_17g,
@@ -39,7 +42,7 @@ from .boxes import (
     require_non_signaling,
 )
 from .quantum import is_quantum_correlators
-from .wiring import _check_copies, _compose_xor
+from .wiring import _check_copies, _xor_powers
 
 # Strictness margin for calling a point distillable; keeps boundary points
 # from flipping on rounding noise.
@@ -137,24 +140,30 @@ class DistillationReport:
 def distillation_report(
     eps: float,
     delta: float,
-    n_values: list[int] | range,
+    n_values: Iterable[int],
     tol: float = DEFAULT_TOL,
 ) -> DistillationReport:
     """Evaluate the XOR protocol at each n, both closed-form and brute-force.
 
-    Raises ``ValueError`` unless every n is an int in 1..16.
+    ``n_values`` is read once, so any iterable works; the rows follow its
+    order, duplicates included. The resource is composed once, up to the
+    largest n, and each row reads its n off that run: the same numbers as
+    ``compose_xor`` at that n, bit for bit. Raises ``ValueError`` unless
+    every n is an int in 1..16.
     """
     resource = p_eps_delta(eps, delta)
+    n_values = list(n_values)
     for n in n_values:
         _check_copies(n)
     require_non_signaling(resource, tol)
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
+    powers = _xor_powers(resource, max(n_values, default=1))
     rows = []
     for n in n_values:
         closed = nl_closed_eps_delta(eps, delta, n)
-        brute = nl_correlators(_correlators(_compose_xor(resource, n, tol)))
+        brute = nl_correlators(_correlators(Box(_clean(powers[n - 1], tol))))
         if abs(closed - brute) > tol:
             raise AssertionError(
                 f"closed form {closed!r} disagrees with composition {brute!r} at n={n}"

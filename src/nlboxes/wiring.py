@@ -14,7 +14,8 @@ interleave their queries, so no global schedule is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -46,7 +47,8 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     Exact: for each input pair, the row of the result is the n-fold
     convolution of the copy's outcome distribution over XOR of output
     pairs, which sums the same products as enumerating all 4**n outcome
-    tuples. Requires 1 <= n <= 16.
+    tuples. Requires 1 <= n <= 16. For several n of one box,
+    ``distillation_report`` composes once and reads each n off that run.
     """
     _check_copies(n)
     require_non_signaling(box, tol)
@@ -55,16 +57,26 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
 
 def _compose_xor(box: Box, n: int, tol: float) -> Box:
     """``compose_xor`` of a box and copy count the caller has already checked."""
-    rows = []
+    return Box(_clean(_xor_powers(box, n)[-1], tol))
+
+
+def _xor_powers(box: Box, n_max: int) -> np.ndarray:
+    """Rows of the 1- to ``n_max``-copy XOR compositions, before ``_clean``.
+
+    Entry k - 1 of the (n_max, 4, 4) result holds the rows of k copies:
+    each row after k - 1 steps of its convolution loop.
+    """
+    powers = np.empty((n_max, 4, 4))
     for r in range(4):
         row = box.matrix[r]
-        acc = row.copy()
-        for _ in range(n - 1):
+        steps = powers[:, r]
+        steps[0] = acc = row
+        for k in range(1, n_max):
             # Outcome pairs (a, b) are indexed by 2a+b, so XOR of pairs is
             # XOR of indices.
-            acc = np.array([sum(acc[i] * row[i ^ j] for i in range(4)) for j in range(4)])
-        rows.append(acc)
-    return Box(_clean(np.array(rows), tol))
+            steps[k] = [sum(acc[i] * row[i ^ j] for i in range(4)) for j in range(4)]
+            acc = steps[k]
+    return powers
 
 
 def xor_correlator_law(box: Box, n: int, tol: float = DEFAULT_TOL) -> Correlators:
@@ -145,12 +157,22 @@ class AdaptiveStrategy:
 
     @classmethod
     def decode(cls, code: int) -> "AdaptiveStrategy":
-        """The strategy whose ``encode`` is ``code``."""
+        """The strategy whose ``encode`` is ``code``.
+
+        The maps are sliced from the code's bits, so they are binary and
+        total by construction; the fields are set without the checks of
+        ``__post_init__``.
+        """
+        code = operator.index(code)
         if not 0 <= code < 1 << 15:
             raise ValueError(f"strategy code out of range: {code}")
         bits = [(code >> i) & 1 for i in range(14, -1, -1)]
         pairs = [tuple(bits[i:i + 2]) for i in range(1, 15, 2)]
-        return cls(bits[0], pairs[0], (pairs[1], pairs[2]), ((pairs[3], pairs[4]), (pairs[5], pairs[6])))
+        maps = (bits[0], pairs[0], (pairs[1], pairs[2]), ((pairs[3], pairs[4]), (pairs[5], pairs[6])))
+        strategy = object.__new__(cls)
+        for name, value in zip(_STRATEGY_FIELDS, maps):
+            object.__setattr__(strategy, name, value)
+        return strategy
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,6 +181,9 @@ class AdaptiveStrategy:
             "second_input": [list(row) for row in self.second_input],
             "output": [[list(inner) for inner in mid] for mid in self.output],
         }
+
+
+_STRATEGY_FIELDS = tuple(f.name for f in fields(AdaptiveStrategy))
 
 
 def xor_strategy() -> AdaptiveStrategy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -92,6 +93,76 @@ def test_report_quantum_flag_and_csv():
     assert int(first[0]) == 1
     assert float(first[3]) == pytest.approx(2.008, abs=1e-12)
     assert first[5] == "true"
+
+
+def _float_bytes(obj):
+    """``obj`` with each float replaced by its IEEE bytes, so ``==`` compares bits."""
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    if isinstance(obj, dict):
+        return {key: _float_bytes(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_float_bytes(value) for value in obj]
+    return obj
+
+
+def _report_by_single_n(eps: float, delta: float, n_values: list[int]) -> dict:
+    """Oracle: the report JSON with each row composed on its own by ``compose_xor``."""
+    resource = nb.p_eps_delta(eps, delta)
+    rows = [
+        {
+            "n": n,
+            "nl_closed": nb.nl_closed_eps_delta(eps, delta, n),
+            "nl_brute": nb.nl(nb.compose_xor(resource, n)),
+            "distilled": nb.is_distillable_at(eps, delta, n),
+        }
+        for n in n_values
+    ]
+    d, e = 1.0 - 2.0 * delta, 1.0 - 2.0 * eps
+    quantum, _ = nb.is_quantum_correlators(nb.Correlators(d, d, d, e))
+    return {"eps": eps, "delta": delta, "resource_quantum": quantum, "rows": rows}
+
+
+def test_report_matches_single_n_composition_bit_for_bit():
+    rng = np.random.default_rng(911)
+    for _ in range(12):
+        eps = float(rng.uniform(0.01, 0.5))
+        delta = float(rng.uniform(0.0, eps))
+        for n_values in (
+            list(range(1, 17)),
+            [int(n) for n in rng.permutation(np.arange(1, 17))[:7]],
+            [5, 2, 5, 16, 2],
+            [int(rng.integers(1, 17))],
+        ):
+            got = nb.distillation_report(eps, delta, n_values).to_json_dict()
+            assert _float_bytes(got) == _float_bytes(_report_by_single_n(eps, delta, n_values))
+
+
+def test_report_reads_n_values_once():
+    from_list = nb.distillation_report(0.1, 0.0, [1, 2, 3])
+    assert nb.distillation_report(0.1, 0.0, (n for n in range(1, 4))) == from_list
+    assert len(from_list.rows) == 3
+    unsorted = nb.distillation_report(0.1, 0.0, iter([4, 1, 4, 2]))
+    assert [row.n for row in unsorted.rows] == [4, 1, 4, 2]
+    assert nb.distillation_report(0.1, 0.0, []).rows == ()
+    with pytest.raises(ValueError):
+        nb.distillation_report(0.1, 0.0, (n for n in (1, 17)))
+
+
+def test_report_composes_once_up_to_the_largest_n(monkeypatch):
+    calls = []
+    original = distill._xor_powers
+
+    def counted(box, n_max):
+        calls.append(n_max)
+        return original(box, n_max)
+
+    monkeypatch.setattr(distill, "_xor_powers", counted)
+    nb.distillation_report(0.3, 0.02, range(1, 17))
+    assert calls == [16]
+    calls.clear()
+    nb.distillation_report(0.3, 0.02, [3, 9, 2])
+    assert calls == [9]
 
 
 def test_optimizer_reproduces_known_optimum():

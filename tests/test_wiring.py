@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlboxes as nb
+from nlboxes.boxes import _clean
+from nlboxes.wiring import _compose_xor, _xor_powers
 from conftest import (
     assert_boxes_close,
     random_local_box,
@@ -116,6 +119,36 @@ def test_compose_xor_deep_copy_count():
     assert got == pytest.approx(3.0 - 0.4**16, abs=1e-9)
 
 
+def _compose_xor_loop(box: nb.Box, n: int) -> np.ndarray:
+    """Oracle: the per-row convolution loop that composes one n on its own."""
+    rows = []
+    for r in range(4):
+        row = box.matrix[r]
+        acc = row.copy()
+        for _ in range(n - 1):
+            acc = np.array([sum(acc[i] * row[i ^ j] for i in range(4)) for j in range(4)])
+        rows.append(acc)
+    return _clean(np.array(rows), nb.DEFAULT_TOL)
+
+
+def test_xor_powers_steps_match_single_n_bit_for_bit(rng):
+    boxes = [nb.p_eps(0.1), nb.p_eps_delta(0.3, 0.02), nb.pr(), random_ns_box(rng)]
+    for vertex in (nb.pr(), nb.deterministic((0, 1), (1, 1)), random_ns_box(rng)):
+        m = np.array(vertex.matrix)
+        m[m == 0.0] = -0.0
+        boxes.append(nb.Box(m))
+    signed_zeros = 0
+    for box in boxes:
+        powers = _xor_powers(box, 16)
+        assert powers.shape == (16, 4, 4)
+        for k in range(1, 17):
+            step = _clean(powers[k - 1], nb.DEFAULT_TOL)
+            assert step.tobytes() == np.asarray(_compose_xor(box, k, nb.DEFAULT_TOL).matrix).tobytes()
+            assert step.tobytes() == _compose_xor_loop(box, k).tobytes()
+            signed_zeros += int(np.sum(np.signbit(step) & (step == 0.0)))
+    assert signed_zeros > 0  # the sign of zero is really compared
+
+
 def test_wiring2_xor_strategy_equals_compose_xor(rng):
     wiring = nb.Wiring2(nb.xor_strategy(), nb.xor_strategy())
     for box in (nb.p_eps(0.1), nb.isotropic(0.7), random_ns_box(rng)):
@@ -178,11 +211,17 @@ def _decode_by_shifts(code: int) -> nb.AdaptiveStrategy:
 def test_strategy_encode_decode_round_trip():
     for code in range(1 << 15):
         strat = nb.AdaptiveStrategy.decode(code)
-        assert strat == _decode_by_shifts(code)
+        assert strat == _decode_by_shifts(code) == nb.AdaptiveStrategy(**strat.to_json_dict())
         assert strat.encode() == _encode_by_shifts(strat) == code
     assert nb.AdaptiveStrategy.decode(nb.xor_strategy().encode()) == nb.xor_strategy()
+    # decode skips the constructor's checks, so its fields must already be plain ints.
+    strat = nb.AdaptiveStrategy.decode(np.int64(4966))
+    assert strat == nb.xor_strategy()
+    assert type(strat.order) is int and type(strat.output[1][1][0]) is int
     with pytest.raises(ValueError):
         nb.AdaptiveStrategy.decode(1 << 15)
+    with pytest.raises(TypeError):
+        nb.AdaptiveStrategy.decode(4966.0)  # type: ignore[arg-type]
 
 
 def test_strategy_validation():
