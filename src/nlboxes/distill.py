@@ -68,8 +68,9 @@ def nl_closed_eps_delta(eps: float, delta: float, n: int) -> float:
     """3*(1-2*delta)**n - (1-2*eps)**n, the curve of ``p_eps_delta``.
 
     Equals the CHSH non-locality of the composed box for
-    0 <= delta <= eps and delta <= 1/2; outside that regime it is still
-    the CHSH expression at input pair 00 but no longer the maximum.
+    delta <= eps <= 1 - delta, that is |1 - 2*eps| <= 1 - 2*delta; outside
+    that regime it is still the CHSH expression at input pair 00 but no
+    longer the maximum at every n.
     """
     FamilyParams(eps, delta)
     if n < 1:
@@ -148,10 +149,16 @@ def distillation_report(
     ``n_values`` is read once, so any iterable works; the rows follow its
     order, duplicates included. The resource is composed once, up to the
     largest n, and each row reads its n off that run: the same numbers as
-    ``compose_xor`` at that n, bit for bit. Raises ``ValueError`` unless
-    every n is an int in 1..16.
+    ``compose_xor`` at that n, bit for bit. Raises ``ValueError`` before
+    any composition unless every n is an int in 1..16 and
+    delta <= eps <= 1 - delta, the regime where the closed form is the
+    composed box's CHSH value.
     """
     resource = p_eps_delta(eps, delta)
+    if not delta <= eps <= 1.0 - delta:
+        raise ValueError(
+            f"the XOR closed form holds only for delta <= eps <= 1 - delta, got eps={eps!r}, delta={delta!r}"
+        )
     n_values = list(n_values)
     for n in n_values:
         _check_copies(n)

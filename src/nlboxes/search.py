@@ -30,10 +30,24 @@ enters as R = kron(Q, Q). Here P is the box read over (a, x) x (b, y);
 no-signaling puts its rows and columns in the span of K, so P = K Q K^T
 with Q = L P L^T for L an integer left inverse of K. Then
 X_xy = signed_s[x] . R . signed_t[y]. A CHSH functional is a sign
-pattern over (x, y), so the values of one Alice row against every Bob
-class are one product with the 18 signed coordinates of all classes.
-Only S = X00 + X01 + X10 - X11 is scanned, whose row for Alice class s
-is [(s0 + s1) R, (s0 - s1) R], and only on some Alice classes:
+pattern over (x, y); only S = X00 + X01 + X10 - X11 is scanned, and it
+separates by party input:
+
+    S(s, t) = (s0 + s1) R t0 + (s0 - s1) R t1,  s_x = signed_s[x], t_y = signed_t[y].
+
+A half signed[x] depends only on the order bit and the maps used on input
+x, and the two inputs' maps sit on disjoint code bits. Across all classes
+there are 82 distinct halves. Let V_o be the halves of the codes with
+order bit o, 66 for each o and the same at both inputs (flipping the
+input swaps them). The classes' pairs (signed[0], signed[1]) are then
+exactly V_0 x V_0 together with V_1 x V_1. With H = halves R halves^T
+(82 x 82), an Alice row is plus = H[s0] + H[s1] and minus = H[s0] - H[s1],
+and S(s, t) = plus[t0] + minus[t1]. Its largest value over all Bob
+classes is the larger over o of max plus[V_o] + max minus[V_o]: rounded
+addition is monotone, so over a product set the maximum of the sums is the
+sum of the maxima, bit for bit. The scan reads every row maximum that way
+and gathers S against all Bob classes only for the winning row. It covers
+every Bob class, but only some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -107,6 +121,11 @@ class _Dedup:
     # class id -> (party input, 9) key of final bit 0 minus key of final bit 1;
     # exact integers, held as floats for the scan's products
     signed: np.ndarray
+    halves: np.ndarray  # the distinct 9-vectors among the rows of signed, as floats
+    half_of: np.ndarray  # (class id, party input) -> row of halves
+    # order bit -> mask over halves: the halves that codes with that order bit
+    # have, at either party input
+    halves_in_order: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -123,9 +142,26 @@ def _dedup() -> _Dedup:
     rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
     rep_codes = first[order].astype(np.int32)
+    class_of_code = rank[inverse.ravel()]
     by_final = keys[rep_codes].reshape(-1, 2, 2, 9)  # (class, party input, final bit, 9)
-    signed = (by_final[:, :, 0] - by_final[:, :, 1]).astype(float)
-    return _Dedup(rep_codes=rep_codes, class_of_code=rank[inverse.ravel()], signed=signed)
+    signed = np.ascontiguousarray(by_final[:, :, 0] - by_final[:, :, 1]).reshape(-1, 9)
+    _, first_half, half_inverse = np.unique(
+        signed.view(np.dtype((np.void, signed.shape[1] * signed.itemsize))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    half_of = half_inverse.reshape(-1, 2)
+    # The order bit is a code's top bit: codes below 1 << 14 have order bit 0.
+    halves_in_order = np.zeros((2, len(first_half)), dtype=bool)
+    halves_in_order[[[0], [1]], half_of[class_of_code].reshape(2, -1)] = True
+    return _Dedup(
+        rep_codes=rep_codes,
+        class_of_code=class_of_code,
+        signed=signed.reshape(-1, 2, 9).astype(float),
+        halves=signed[first_half].astype(float),
+        half_of=half_of,
+        halves_in_order=halves_in_order,
+    )
 
 
 def behavior_key(strategy: AdaptiveStrategy) -> int:
@@ -171,9 +207,6 @@ def _relabel_codes(codes: np.ndarray, flip_x: int, flip_a: int, a_flip_with_x: i
 # S values within this of the maximum count as tied with it.
 _NEAR_MAX = 1e-12
 
-# Alice rows per product in the pair scan; the result does not depend on it.
-_CHUNK = 64
-
 # The eight CHSH functionals as signs over (Bob input y, Alice input x), S first.
 _CHSH_SIGNS = CHSH_SIGNS.reshape(8, 2, 2).transpose(0, 2, 1)
 
@@ -193,13 +226,39 @@ def _orbits() -> _Orbits:
     return _Orbits(perms, orbit_min, np.flatnonzero(orbit_min == np.arange(len(orbit_min))))
 
 
+def _box_coordinates(box: Box) -> np.ndarray:
+    """R = kron(Q, Q), the box in the two copies' no-signaling coordinates."""
+    p = np.asarray(box.matrix).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)  # (a, x) x (b, y)
+    q = _NS_LEFT_INVERSE @ p @ _NS_LEFT_INVERSE.T
+    return np.kron(q, q)
+
+
 def _functional_rows(box: Box, signs: np.ndarray, alice_signed: np.ndarray) -> np.ndarray:
     """Rows whose product with a Bob class's 18 signed coordinates gives a
     CHSH functional: signs (..., y, x) @ alice_signed (..., x, 9) @ R, flattened."""
-    p = np.asarray(box.matrix).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)  # (a, x) x (b, y)
-    q = _NS_LEFT_INVERSE @ p @ _NS_LEFT_INVERSE.T
-    rows = (signs @ alice_signed) @ np.kron(q, q)
+    rows = (signs @ alice_signed) @ _box_coordinates(box)
     return rows.reshape(*rows.shape[:-2], 18)
+
+
+def _s_rows(box: Box, alice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) over halves: S of (alice[i], t) is plus[i, b0] + minus[i, b1]
+    for (b0, b1) = half_of[t]."""
+    dedup = _dedup()
+    h = dedup.halves @ _box_coordinates(box) @ dedup.halves.T  # X between two halves
+    alice_0, alice_1 = dedup.half_of[alice].T
+    return h[alice_0] + h[alice_1], h[alice_0] - h[alice_1]
+
+
+def _row_max(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Largest S of each row over all Bob classes, equal bit for bit to the
+    largest entry of that row's ``_bob_row``."""
+    return np.max([plus[:, m].max(axis=1) + minus[:, m].max(axis=1) for m in _dedup().halves_in_order], axis=0)
+
+
+def _bob_row(plus: np.ndarray, minus: np.ndarray, row: int) -> np.ndarray:
+    """S of one row against every Bob class, in class order."""
+    half_of = _dedup().half_of
+    return plus[row, half_of[:, 0]] + minus[row, half_of[:, 1]]
 
 
 @dataclass(frozen=True)
@@ -214,11 +273,11 @@ class SearchResult:
     tol: float = DEFAULT_TOL  # the tolerance the search ran under
     # Where the time went, in seconds, and how much was scanned. These stay
     # out of the JSON form, which is pinned.
-    kernel_s: float = 0.0  # input checks, cached tables, box coordinates, S rows
-    scan_s: float = 0.0  # pair scan and tie-break
+    kernel_s: float = 0.0  # input checks, cached tables, box coordinates, the plus/minus rows
+    scan_s: float = 0.0  # row maxima over the halves and the tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
     alice_rows_scanned: int = 0
-    pairs_scanned: int = 0
+    pairs_scanned: int = 0  # pairs the row maxima cover: Alice rows x Bob classes
 
     @property
     def distilled(self) -> bool:
@@ -239,8 +298,9 @@ class SearchResult:
 def pair_nl_values(box: Box, alice: AdaptiveStrategy, tol: float = DEFAULT_TOL) -> np.ndarray:
     """CHSH non-locality of (alice, tau) over every deduplicated tau.
 
-    Fast path used by tests to cross-check chunks of the scan against the
-    reference composer.
+    Uses the 18 signed coordinates, not the scan's halves, so it checks the
+    scan by separate arithmetic; tests also check it against the reference
+    composer.
     """
     require_non_signaling(box, tol)
     dedup = _dedup()
@@ -254,8 +314,7 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     Deterministic strategies suffice: the CHSH value of a mixture of
     wirings never exceeds the best component, so shared randomness cannot
     beat the maximum found here. Ties resolve to the smallest strategy
-    encodings, so results are identical run to run and do not depend on
-    how the scan is chunked.
+    encodings, so results are identical run to run.
     """
     started = time.perf_counter()
     require_non_signaling(box, tol)
@@ -263,22 +322,15 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
 
     dedup = _dedup()
     orbits = _orbits()
-    bob = dedup.signed.reshape(-1, 18)
-    n_reps = len(bob)
-    # S of (reps[i], t) is g[i] . bob[t].
-    g = _functional_rows(box, _CHSH_SIGNS[0], dedup.signed[orbits.reps])
+    plus, minus = _s_rows(box, orbits.reps)
     kernel_done = time.perf_counter()
 
-    def s_values(start: int) -> np.ndarray:
-        return g[start:start + _CHUNK] @ bob.T
-
-    row_max = np.concatenate([s_values(start).max(axis=1) for start in range(0, len(g), _CHUNK)])
+    row_max = _row_max(plus, minus)
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
-    start = row - row % _CHUNK  # recompute the row exactly as the scan saw it
     best_si = int(orbits.reps[row])
-    best_ti = int(orbits.orbit_min[s_values(start)[row - start] >= near].min())
+    best_ti = int(orbits.orbit_min[_bob_row(plus, minus, row) >= near].min())
     scan_done = time.perf_counter()
 
     wiring = Wiring2(
@@ -297,12 +349,12 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
         nl_out=nl_out,
         wiring=wiring,
         strategies_raw=RAW_STRATEGY_COUNT,
-        strategies_deduped=n_reps,
+        strategies_deduped=len(dedup.rep_codes),
         wall_time_s=finished - started,
         tol=tol,
         kernel_s=kernel_done - started,
         scan_s=scan_done - kernel_done,
         verify_s=finished - scan_done,
-        alice_rows_scanned=len(g),
-        pairs_scanned=len(g) * n_reps,
+        alice_rows_scanned=len(orbits.reps),
+        pairs_scanned=len(orbits.reps) * len(dedup.rep_codes),
     )

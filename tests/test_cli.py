@@ -167,6 +167,16 @@ def test_distill_rejects_bad_params(capsys):
     assert run(["distill", "--eps", "1.5", "--n", "1..3"]) == 2
 
 
+@pytest.mark.parametrize("eps, delta", [("0.2", "0.3"), ("0.95", "0.1")])
+def test_distill_outside_closed_form_regime_exits_two(eps, delta, capsys):
+    assert run(["distill", "--eps", eps, "--delta", delta, "--n", "1..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"the XOR closed form holds only for delta <= eps <= 1 - delta, got eps={eps}, delta={delta}"
+    ]
+
+
 def test_optimize_json(capsys):
     assert run(["optimize", "--n-max", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

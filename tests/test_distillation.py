@@ -165,6 +165,26 @@ def test_report_composes_once_up_to_the_largest_n(monkeypatch):
     assert calls == [9]
 
 
+# |1 - 2*eps| > 1 - 2*delta: the composed box's CHSH maximum leaves the closed
+# form at n = 1 when delta > eps, and at even n when eps > 1 - delta.
+@pytest.mark.parametrize("eps, delta", [(0.2, 0.3), (0.95, 0.1), (0.5, 0.6), (1.0, 0.01)])
+def test_report_rejects_points_outside_the_closed_form_regime(eps, delta, monkeypatch):
+    def no_composition(*args):
+        raise AssertionError("composed before the regime was checked")
+
+    monkeypatch.setattr(distill, "_xor_powers", no_composition)
+    with pytest.raises(ValueError, match="delta <= eps <= 1 - delta"):
+        nb.distillation_report(eps, delta, range(1, 4))
+
+
+@pytest.mark.parametrize("eps, delta", [(0.1, 0.1), (0.3, 0.3), (0.9, 0.1), (0.8, 0.2), (0.5, 0.5), (1.0, 0.0)])
+def test_report_at_the_edges_of_the_regime(eps, delta):
+    report = nb.distillation_report(eps, delta, range(1, 17))
+    assert [row.n for row in report.rows] == list(range(1, 17))
+    for row in report.rows:
+        assert row.nl_brute == pytest.approx(nb.nl_closed_eps_delta(eps, delta, row.n), abs=1e-12)
+
+
 def test_optimizer_reproduces_known_optimum():
     opt = nb.optimize_quantum_distillation(n_max=20)
     assert opt.n == 2

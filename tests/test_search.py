@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,13 +172,28 @@ def test_search_results_are_deterministic():
     assert a.nl_out == b.nl_out
 
 
-def test_search_chunking_does_not_change_result(monkeypatch):
-    base = nb.search_2copy(nb.p_eps(0.2))
-    for chunk in (1, 7, 1000):
-        monkeypatch.setattr(search, "_CHUNK", chunk)
-        other = nb.search_2copy(nb.p_eps(0.2))
-        assert other.wiring == base.wiring
-        assert other.nl_out == base.nl_out
+def test_signed_halves_split_by_order_bit():
+    # The classes' pairs of halves are V_0 x V_0 together with V_1 x V_1,
+    # 2 * 66**2 - 50**2 = 6212 of them, so the scan's row maxima cover
+    # exactly the Bob classes.
+    dedup = search._dedup()
+    assert dedup.halves.shape == (82, 9)
+    assert len({tuple(h) for h in dedup.halves.tolist()}) == 82
+    assert np.array_equal(dedup.halves[dedup.half_of], dedup.signed)
+    v0, v1 = ({int(i) for i in np.flatnonzero(mask)} for mask in dedup.halves_in_order)
+    assert (len(v0), len(v1), len(v0 & v1)) == (66, 66, 50)
+    pairs = {tuple(p) for p in dedup.half_of.tolist()}
+    assert len(pairs) == 6212
+    assert pairs == set(product(v0, v0)) | set(product(v1, v1))
+
+
+def test_search_does_not_import_numpy_ma():
+    # A bare np.unique on a plain int array imports numpy.ma (numpy 2.4), a
+    # cold-start cost the search does not need.
+    code = "import sys, nlboxes as nb; nb.search_2copy(nb.p_eps(0.1)); print('numpy.ma' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # On p_eps(xi) the best two-copy wiring is the better of two protocols: XOR,
@@ -287,6 +306,30 @@ def test_search_matches_dense_eight_functional_scan(box):
     assert abs(result.nl_out - best) <= 1e-12
     strategies = nb.enumerate_strategies()
     assert result.wiring == nb.Wiring2(strategies[si], strategies[ti])
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        nb.p_eps(0.1),
+        nb.p_eps_delta(0.3, 0.02),
+        nb.isotropic(0.8),
+        nb.noise(),
+        random_ns_box(np.random.default_rng(5)),
+        _nonlocal_random_box(1),
+    ],
+    ids=["p_eps(0.1)", "p_eps_delta(0.3,0.02)", "isotropic(0.8)", "noise", "random_ns", "random_nonlocal"],
+)
+def test_separable_rows_match_the_18_coordinate_rows(box):
+    dedup, reps = search._dedup(), search._orbits().reps
+    plus, minus = search._s_rows(box, reps)
+    row_max = search._row_max(plus, minus)
+    s_rows = search._functional_rows(box, search._CHSH_SIGNS[0], dedup.signed[reps]) @ dedup.signed.reshape(-1, 18).T
+    assert np.max(np.abs(row_max - s_rows.max(axis=1))) <= 1e-13
+    for row in range(len(reps)):
+        bob = search._bob_row(plus, minus, row)
+        assert np.max(np.abs(bob - s_rows[row])) <= 1e-13
+        assert bob.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
 
 
 def test_search_composites_non_signaling(rng):
