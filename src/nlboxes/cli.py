@@ -48,15 +48,16 @@ def _tol(text: str) -> float:
     return value
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        n = int(text)
+        return range(n, n + 1)
     except ValueError:
         raise _CliFailure(2, f"bad range {text!r}; expected N or LO..HI")
 

@@ -2,10 +2,10 @@
 
 For the resource family ``p_eps_delta(eps, delta)`` the XOR protocol over
 n copies has CHSH non-locality 3*(1-2*delta)**n - (1-2*eps)**n whenever
-0 <= delta < eps < 1/2 (there the CHSH maximum sits at input pair 00 with
-positive sign). The optimizer maximizes that value over n, eps and delta,
-subject to the resource being quantum realizable and the protocol strictly
-gaining.
+delta <= eps <= 1 - delta (there the CHSH maximum sits at input pair 00
+with positive sign; see ``nl_closed_eps_delta``). The optimizer maximizes
+that value over n, eps and delta, subject to the resource being quantum
+realizable and the protocol strictly gaining.
 
 With d = 1 - 2*delta and e = 1 - 2*eps the constraints are the quantum
 bound 3*asin(d) - asin(e) <= pi, nl_in = 3*d - e > 2 and the gain
@@ -152,23 +152,26 @@ def distillation_report(
     ``compose_xor`` at that n, bit for bit. Raises ``ValueError`` before
     any composition unless every n is an int in 1..16 and
     delta <= eps <= 1 - delta, the regime where the closed form is the
-    composed box's CHSH value.
+    composed box's CHSH value. Each n is checked as it is read, so reading
+    stops at the first bad one: a long range fails at 17 without being
+    listed.
     """
     resource = p_eps_delta(eps, delta)
     if not delta <= eps <= 1.0 - delta:
         raise ValueError(
             f"the XOR closed form holds only for delta <= eps <= 1 - delta, got eps={eps!r}, delta={delta!r}"
         )
-    n_values = list(n_values)
+    ns = []
     for n in n_values:
         _check_copies(n)
+        ns.append(n)
     require_non_signaling(resource, tol)
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
-    powers = _xor_powers(resource, max(n_values, default=1))
+    powers = _xor_powers(resource, max(ns, default=1))
     rows = []
-    for n in n_values:
+    for n in ns:
         closed = nl_closed_eps_delta(eps, delta, n)
         brute = nl_correlators(_correlators(Box(_clean(powers[n - 1], tol))))
         if abs(closed - brute) > tol:

@@ -3,51 +3,55 @@
 There are 32768 raw strategies per party, one per 15-bit code; the
 ``AdaptiveStrategy`` docstring gives the code layout. Many are
 interchangeable: they induce the same composite box for every
-non-signaling resource. The dedup here is exact, not heuristic. A
-strategy enters every composite only through its 0/1 tensor u over
-(party input, final bit) x (box outcomes, box inputs), read for all
-codes at once off one table of their bits. Split u into four blocks, one
-per (party input, final bit), and read each block as a 4x4 matrix B over
-(a1, x1) x (a2, x2), with (a, x) at index 2*a + x. A composite entry
+non-signaling resource. The dedup here is exact, not heuristic. On party
+input x a strategy enters every composite only through two 0/1 matrices
+B[x, final bit] over (a1, x1) x (a2, x2), with (a, x) at index 2*a + x:
+the box outcomes and box inputs that ``trace`` reports. A composite entry
 contracts B with the two copies' tables P(a1 b1|x1 y1) P(a2 b2|x2 y2),
 each read as a vector over the party's own (a, x). No-signaling says
 exactly that every such vector satisfies e(0,0) + e(1,0) = e(0,1) +
 e(1,1): summing over a removes x. So each vector is K c for the 4x3
 integer basis K of that relation's orthogonal complement, and B enters
 only through the 3x3 matrix K^T B K.
-The key is those four matrices, 36 small integers per code: equal keys
-give identical composites on every non-signaling resource. Codes with
-equal keys collapse to the one with the smallest encoding; the resulting
-6212 classes are pinned by a digest in the tests. This also removes
-strategies that ignore a box end (the ignored end's marginal is input
-independent) and order swaps of non-adaptive plans.
 
-The pair scan works in the same coordinates as the key. The CHSH
-correlator X_xy of a composite counts each party's final bit 0 with +1
-and 1 with -1, so it depends on a class only through its signed key
-signed[x] = key[x, final 0] - key[x, final 1], 2 x 9 integers. The box
-enters as R = kron(Q, Q). Here P is the box read over (a, x) x (b, y);
-no-signaling puts its rows and columns in the span of K, so P = K Q K^T
-with Q = L P L^T for L an integer left inverse of K. Then
-X_xy = signed_s[x] . R . signed_t[y]. A CHSH functional is a sign
-pattern over (x, y); only S = X00 + X01 + X10 - X11 is scanned, and it
-separates by party input:
+A code's half key at input x is its two matrices K^T B[x, final] K, 18
+small integers. It depends only on the order bit and the maps used on
+input x, and the two inputs' maps sit on disjoint code bits. So the dedup
+reads B[0, .] off ``trace`` for the 256 codes that set only input 0's bits
+(mask 0x6CF0), 1024 calls, and finds 82 distinct half keys among them, the
+halves. A code's half at input 1 is the input-0 half of its input-flipped
+code. A class is a pair of halves, one per input: equal pairs give
+identical composites on every non-signaling resource. Codes with equal
+pairs collapse to the one with the smallest encoding; the resulting 6212
+classes are pinned by a digest in the tests. This also removes strategies
+that ignore a box end (the ignored end's marginal is input independent)
+and order swaps of non-adaptive plans.
+
+The pair scan works in the same coordinates. The CHSH correlator X_xy of
+a composite counts each party's final bit 0 with +1 and 1 with -1, so it
+depends on a class only through its signed halves
+signed[x] = key[x, final 0] - key[x, final 1], 9 integers each; the 82
+half keys give 82 distinct signed halves. The box enters as R = kron(Q, Q).
+Here P is the box read over (a, x) x (b, y); no-signaling puts its rows
+and columns in the span of K, so P = K Q K^T with Q = L P L^T for L an
+integer left inverse of K. Then X_xy = signed_s[x] . R . signed_t[y]. A
+CHSH functional is a sign pattern over (x, y); only
+S = X00 + X01 + X10 - X11 is scanned, and it separates by party input:
 
     S(s, t) = (s0 + s1) R t0 + (s0 - s1) R t1,  s_x = signed_s[x], t_y = signed_t[y].
 
-A half signed[x] depends only on the order bit and the maps used on input
-x, and the two inputs' maps sit on disjoint code bits. Across all classes
-there are 82 distinct halves. Let V_o be the halves of the codes with
-order bit o, 66 for each o and the same at both inputs (flipping the
-input swaps them). The classes' pairs (signed[0], signed[1]) are then
-exactly V_0 x V_0 together with V_1 x V_1. With H = halves R halves^T
+Let V_o be the halves of the codes with order bit o, 66 for each o and the
+same at both inputs (flipping the input keeps the order bit). The halves
+are numbered V_0 only (16), shared (50), V_1 only (16), so V_0 and V_1 are
+the slices [0:66] and [16:82]. The classes' pairs (signed[0], signed[1])
+are exactly V_0 x V_0 together with V_1 x V_1. With H = halves R halves^T
 (82 x 82), an Alice row is plus = H[s0] + H[s1] and minus = H[s0] - H[s1],
 and S(s, t) = plus[t0] + minus[t1]. Its largest value over all Bob
 classes is the larger over o of max plus[V_o] + max minus[V_o]: rounded
 addition is monotone, so over a product set the maximum of the sums is the
-sum of the maxima, bit for bit. The scan reads every row maximum that way
-and gathers S against all Bob classes only for the winning row. It covers
-every Bob class, but only some Alice classes:
+sum of the maxima, bit for bit. The scan reads every row maximum that way,
+in blocks of Alice rows, and gathers S against all Bob classes only for the
+winning row. It covers every Bob class, but only some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -83,30 +87,6 @@ from .wiring import AdaptiveStrategy, Wiring2, compose_wiring2
 RAW_STRATEGY_COUNT = 1 << 15
 
 
-@lru_cache(maxsize=1)
-def _u_tensor() -> np.ndarray:
-    """0/1 tensor of every raw code: (code, party input x final bit, outcomes x inputs)."""
-    codes = np.arange(RAW_STRATEGY_COUNT)
-    # The code's bits, sliced into the maps as ``AdaptiveStrategy.decode`` does.
-    bits = (codes[:, None] >> np.arange(14, -1, -1)) & 1
-    swapped = bits[:, 0] == 1  # copy 1 is queried first
-    first_input = bits[:, 1:3]
-    second_input = bits[:, 3:7].reshape(-1, 2, 2)
-    output = bits[:, 7:].reshape(-1, 2, 2, 2)
-    u = np.zeros((RAW_STRATEGY_COUNT, 4, 16), dtype=np.int8)
-    for x, a1, a2 in product((0, 1), repeat=3):
-        # As in ``AdaptiveStrategy.trace``, for every code at once.
-        o_first = np.where(swapped, a2, a1)
-        o_second = np.where(swapped, a1, a2)
-        i_first = first_input[:, x]
-        i_second = second_input[codes, x, o_first]
-        final = output[codes, x, o_first, o_second]
-        x1 = np.where(swapped, i_second, i_first)
-        x2 = np.where(swapped, i_first, i_second)
-        u[codes, 2 * x + final, (a1 * 2 + a2) * 4 + x1 * 2 + x2] = 1
-    return u
-
-
 # Basis of the (a, x) vectors orthogonal to the non-signaling relation
 # e(0,0) + e(1,0) = e(0,1) + e(1,1), with (a, x) at index 2*a + x.
 _NS_BASIS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8)
@@ -114,53 +94,61 @@ _NS_BASIS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int8
 _NS_LEFT_INVERSE = np.array([[1, 0, 0, 0], [-1, 1, 0, 0], [1, -1, 1, 0]], dtype=float)
 
 
+# Code bits that input 0 reads: the order bit and the x = 0 maps, in the
+# code layout of ``AdaptiveStrategy``.
+_INPUT0_BITS = 0x6CF0
+
+
 @dataclass(frozen=True)
 class _Dedup:
     rep_codes: np.ndarray  # class id -> smallest encoding, ascending
     class_of_code: np.ndarray  # raw code -> class id
-    # class id -> (party input, 9) key of final bit 0 minus key of final bit 1;
-    # exact integers, held as floats for the scan's products
-    signed: np.ndarray
-    halves: np.ndarray  # the distinct 9-vectors among the rows of signed, as floats
+    # The distinct signed halves, exact integers held as floats for the scan's
+    # products: those of order bit 0 only, then those of both, then those of
+    # order bit 1 only.
+    halves: np.ndarray
     half_of: np.ndarray  # (class id, party input) -> row of halves
-    # order bit -> mask over halves: the halves that codes with that order bit
-    # have, at either party input
-    halves_in_order: np.ndarray
+    signed: np.ndarray  # halves[half_of]: (class id, party input, 9)
+    in_order: tuple[slice, slice]  # order bit o -> the rows V_o of halves
 
 
 @lru_cache(maxsize=1)
 def _dedup() -> _Dedup:
-    u = _u_tensor()
-    # Each (party input, final bit) block as a matrix over (a1, x1) x (a2, x2).
-    blocks = u.reshape(-1, 4, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4, 4)
-    keys = np.ascontiguousarray(_NS_BASIS.T @ blocks @ _NS_BASIS).reshape(RAW_STRATEGY_COUNT, 36)
-    _, first, inverse = np.unique(
-        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_index=True, return_inverse=True
-    )
-    # np.unique numbers classes in key order; renumber them by smallest code.
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    rep_codes = first[order].astype(np.int32)
-    class_of_code = rank[inverse.ravel()]
-    by_final = keys[rep_codes].reshape(-1, 2, 2, 9)  # (class, party input, final bit, 9)
-    signed = np.ascontiguousarray(by_final[:, :, 0] - by_final[:, :, 1]).reshape(-1, 9)
-    _, first_half, half_inverse = np.unique(
-        signed.view(np.dtype((np.void, signed.shape[1] * signed.itemsize))).ravel(),
-        return_index=True,
-        return_inverse=True,
-    )
-    half_of = half_inverse.reshape(-1, 2)
-    # The order bit is a code's top bit: codes below 1 << 14 have order bit 0.
-    halves_in_order = np.zeros((2, len(first_half)), dtype=bool)
-    halves_in_order[[[0], [1]], half_of[class_of_code].reshape(2, -1)] = True
+    codes = np.arange(RAW_STRATEGY_COUNT)
+    input0_codes = codes[(codes & ~_INPUT0_BITS) == 0]
+    # Each such code's B[0, final] over (a1, x1) x (a2, x2), read off ``trace``.
+    blocks = np.zeros((len(input0_codes), 2, 4, 4), dtype=np.int8)
+    for i, code in enumerate(input0_codes.tolist()):
+        strategy = AdaptiveStrategy.decode(code)
+        for a1, a2 in product((0, 1), repeat=2):
+            (x1, x2), final = strategy.trace(0, (a1, a2))
+            blocks[i, final, 2 * a1 + x1, 2 * a2 + x2] = 1
+    keys = np.ascontiguousarray(_NS_BASIS.T @ blocks @ _NS_BASIS).reshape(-1, 18)
+    _, first, key_of = np.unique(keys.view(np.dtype((np.void, 18))).ravel(), return_index=True, return_inverse=True)
+    # Renumber the halves V_0 only, shared, V_1 only, so that V_0 is a head
+    # and V_1 a tail of the rows. The order bit is a code's top bit.
+    in_v = np.zeros((2, len(first)), dtype=bool)
+    in_v[input0_codes >> 14, key_of] = True
+    order = np.argsort(in_v[1].astype(np.int8) - in_v[0], kind="stable")
+    by_final = keys[first[order]].reshape(-1, 2, 9)
+    halves = (by_final[:, 0] - by_final[:, 1]).astype(float)
+    # A code's half at input 1 is the input-0 half of its input-flipped code.
+    input0_half = np.argsort(order)[key_of]
+    flipped = _relabel_codes(codes, 1, 0, 0)
+    half_at = [input0_half[np.searchsorted(input0_codes, c & _INPUT0_BITS)] for c in (codes, flipped)]
+    # A class is a pair of halves; number the classes by smallest code.
+    pair = half_at[0] * len(halves) + half_at[1]
+    smallest = np.full(len(halves) ** 2, RAW_STRATEGY_COUNT)
+    np.minimum.at(smallest, pair, codes)
+    rep_codes = np.flatnonzero(smallest[pair] == codes).astype(np.int32)
+    half_of = np.stack([h[rep_codes] for h in half_at], axis=1)
     return _Dedup(
         rep_codes=rep_codes,
-        class_of_code=class_of_code,
-        signed=signed.reshape(-1, 2, 9).astype(float),
-        halves=signed[first_half].astype(float),
+        class_of_code=np.searchsorted(rep_codes, smallest[pair]).astype(np.int32),
+        halves=halves,
         half_of=half_of,
-        halves_in_order=halves_in_order,
+        signed=halves[half_of],
+        in_order=(slice(0, int(in_v[0].sum())), slice(len(halves) - int(in_v[1].sum()), len(halves))),
     )
 
 
@@ -240,25 +228,43 @@ def _functional_rows(box: Box, signs: np.ndarray, alice_signed: np.ndarray) -> n
     return rows.reshape(*rows.shape[:-2], 18)
 
 
-def _s_rows(box: Box, alice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(plus, minus) over halves: S of (alice[i], t) is plus[i, b0] + minus[i, b1]
-    for (b0, b1) = half_of[t]."""
+def _half_products(box: Box) -> np.ndarray:
+    """H = halves R halves^T, the correlator X between two halves. An Alice
+    class with halves (s0, s1) has S against a Bob class with halves (t0, t1)
+    of plus[t0] + minus[t1], for plus = H[s0] + H[s1] and minus = H[s0] - H[s1]."""
+    halves = _dedup().halves
+    return halves @ _box_coordinates(box) @ halves.T
+
+
+# Alice rows per block of ``_row_max``. Each (rows, 82) float temporary of a
+# block then stays under 128 KiB, glibc's default mmap threshold, so it comes
+# from the heap rather than from a fresh mapping; and at most three are live
+# at once. Unblocked (797 rows), or with a fourth live temporary, the heap
+# top outgrew glibc's trim threshold and each warm search faulted in about
+# 95 fresh pages.
+_ROW_BLOCK = 199
+
+
+def _row_max(h: np.ndarray, alice: np.ndarray) -> np.ndarray:
+    """Largest S of each Alice class over all Bob classes, equal bit for bit
+    to the largest entry of that class's ``_bob_row``."""
     dedup = _dedup()
-    h = dedup.halves @ _box_coordinates(box) @ dedup.halves.T  # X between two halves
-    alice_0, alice_1 = dedup.half_of[alice].T
-    return h[alice_0] + h[alice_1], h[alice_0] - h[alice_1]
+    out = np.empty(len(alice))
+    for start in range(0, len(alice), _ROW_BLOCK):
+        s0, s1 = dedup.half_of[alice[start:start + _ROW_BLOCK]].T
+        first, second = h[s0], h[s1]
+        plus, minus = first + second, np.subtract(first, second, out=first)
+        out[start:start + _ROW_BLOCK] = np.max(
+            [plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in dedup.in_order], axis=0
+        )
+    return out
 
 
-def _row_max(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Largest S of each row over all Bob classes, equal bit for bit to the
-    largest entry of that row's ``_bob_row``."""
-    return np.max([plus[:, m].max(axis=1) + minus[:, m].max(axis=1) for m in _dedup().halves_in_order], axis=0)
-
-
-def _bob_row(plus: np.ndarray, minus: np.ndarray, row: int) -> np.ndarray:
-    """S of one row against every Bob class, in class order."""
+def _bob_row(h: np.ndarray, alice: int) -> np.ndarray:
+    """S of one Alice class against every Bob class, in class order."""
     half_of = _dedup().half_of
-    return plus[row, half_of[:, 0]] + minus[row, half_of[:, 1]]
+    s0, s1 = half_of[alice]
+    return (h[s0] + h[s1])[half_of[:, 0]] + (h[s0] - h[s1])[half_of[:, 1]]
 
 
 @dataclass(frozen=True)
@@ -273,8 +279,8 @@ class SearchResult:
     tol: float = DEFAULT_TOL  # the tolerance the search ran under
     # Where the time went, in seconds, and how much was scanned. These stay
     # out of the JSON form, which is pinned.
-    kernel_s: float = 0.0  # input checks, cached tables, box coordinates, the plus/minus rows
-    scan_s: float = 0.0  # row maxima over the halves and the tie-break
+    kernel_s: float = 0.0  # input checks, cached tables, box coordinates, H over the halves
+    scan_s: float = 0.0  # row maxima in blocks of Alice rows, and the tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
     alice_rows_scanned: int = 0
     pairs_scanned: int = 0  # pairs the row maxima cover: Alice rows x Bob classes
@@ -322,15 +328,15 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
 
     dedup = _dedup()
     orbits = _orbits()
-    plus, minus = _s_rows(box, orbits.reps)
+    h = _half_products(box)
     kernel_done = time.perf_counter()
 
-    row_max = _row_max(plus, minus)
+    row_max = _row_max(h, orbits.reps)
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
     best_si = int(orbits.reps[row])
-    best_ti = int(orbits.orbit_min[_bob_row(plus, minus, row) >= near].min())
+    best_ti = int(orbits.orbit_min[_bob_row(h, best_si) >= near].min())
     scan_done = time.perf_counter()
 
     wiring = Wiring2(

@@ -145,8 +145,13 @@ def test_report_reads_n_values_once():
     unsorted = nb.distillation_report(0.1, 0.0, iter([4, 1, 4, 2]))
     assert [row.n for row in unsorted.rows] == [4, 1, 4, 2]
     assert nb.distillation_report(0.1, 0.0, []).rows == ()
-    with pytest.raises(ValueError):
-        nb.distillation_report(0.1, 0.0, (n for n in (1, 17)))
+
+    def twenty_then_fail():
+        yield from range(1, 21)
+        raise AssertionError("read past the first bad n")
+
+    with pytest.raises(ValueError, match="got 17"):
+        nb.distillation_report(0.1, 0.0, twenty_then_fail())
 
 
 def test_report_composes_once_up_to_the_largest_n(monkeypatch):

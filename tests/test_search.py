@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -45,19 +46,6 @@ def test_partition_is_pinned():
     assert nb.behavior_class_count() == 6212
     assert hashlib.sha256(dedup.class_of_code.astype("<i4").tobytes()).hexdigest() == CLASS_OF_CODE_SHA256
     assert np.array_equal(dedup.class_of_code[dedup.rep_codes], np.arange(6212))
-
-
-def test_u_tensor_matches_trace():
-    # Each (code, x, outcomes) marks one cell: the final bit's block, at the
-    # outcomes and the inputs that ``trace`` reports.
-    codes = np.random.default_rng(8).choice(search.RAW_STRATEGY_COUNT, size=2048, replace=False)
-    expected = np.zeros((len(codes), 4, 16), dtype=np.int8)
-    for i, code in enumerate(codes):
-        strat = nb.AdaptiveStrategy.decode(int(code))
-        for x, a1, a2 in product((0, 1), repeat=3):
-            (x1, x2), final = strat.trace(x, (a1, a2))
-            expected[i, 2 * x + final, (2 * a1 + a2) * 4 + 2 * x1 + x2] = 1
-    assert np.array_equal(search._u_tensor()[codes], expected)
 
 
 def test_canonical_strategy_is_a_fixed_point():
@@ -175,16 +163,29 @@ def test_search_results_are_deterministic():
 def test_signed_halves_split_by_order_bit():
     # The classes' pairs of halves are V_0 x V_0 together with V_1 x V_1,
     # 2 * 66**2 - 50**2 = 6212 of them, so the scan's row maxima cover
-    # exactly the Bob classes.
+    # exactly the Bob classes. The halves are numbered V_0 only, shared,
+    # V_1 only, so each V_o is a slice.
     dedup = search._dedup()
     assert dedup.halves.shape == (82, 9)
     assert len({tuple(h) for h in dedup.halves.tolist()}) == 82
     assert np.array_equal(dedup.halves[dedup.half_of], dedup.signed)
-    v0, v1 = ({int(i) for i in np.flatnonzero(mask)} for mask in dedup.halves_in_order)
-    assert (len(v0), len(v1), len(v0 & v1)) == (66, 66, 50)
+    assert dedup.in_order == (slice(0, 66), slice(16, 82))
+    v0, v1 = set(range(66)), set(range(16, 82))
+    for order, v in enumerate((v0, v1)):
+        codes = np.arange(order << 14, (order + 1) << 14)
+        assert set(dedup.half_of[dedup.class_of_code[codes]].ravel().tolist()) == v
     pairs = {tuple(p) for p in dedup.half_of.tolist()}
     assert len(pairs) == 6212
     assert pairs == set(product(v0, v0)) | set(product(v1, v1))
+
+
+def test_signed_halves_match_trace():
+    # Every class's halves at both party inputs, against the signed key
+    # K^T (B[x, final 0] - B[x, final 1]) K read off ``trace``; the dedup reads
+    # input 1 through the input-flipped code.
+    dedup = search._dedup()
+    keys = _rep_keys()
+    assert np.array_equal(dedup.halves[dedup.half_of], keys[:, :, 0] - keys[:, :, 1])
 
 
 def test_search_does_not_import_numpy_ma():
@@ -245,6 +246,29 @@ def test_party_relabeling_permutes_classes(alice_flips, rng):
             assert np.max(np.abs(np.asarray(relabeled.matrix) - np.asarray(expected.matrix))) <= 1e-12
 
 
+@lru_cache(maxsize=1)
+def _rep_tensor() -> np.ndarray:
+    """0/1 tensor of each class's smallest code, read off ``trace``:
+    (class, party input x final bit, outcomes x inputs)."""
+    reps = search._dedup().rep_codes
+    u = np.zeros((len(reps), 4, 16), dtype=np.int8)
+    for i, code in enumerate(reps.tolist()):
+        strat = nb.AdaptiveStrategy.decode(code)
+        for x, a1, a2 in product((0, 1), repeat=3):
+            (x1, x2), final = strat.trace(x, (a1, a2))
+            u[i, 2 * x + final, (2 * a1 + a2) * 4 + 2 * x1 + x2] = 1
+    return u
+
+
+@lru_cache(maxsize=1)
+def _rep_keys() -> np.ndarray:
+    """K^T B K for each class and (party input, final bit), B the tensor's
+    block over (a1, x1) x (a2, x2): (class, party input, final bit, 9)."""
+    blocks = _rep_tensor().reshape(-1, 4, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4, 4, 4)
+    basis = search._NS_BASIS
+    return (basis.T @ blocks @ basis).reshape(-1, 2, 2, 9).astype(float)
+
+
 def _box_kernel(matrix: np.ndarray) -> np.ndarray:
     """Product probabilities of the two copies over all outcome/input combos."""
     t4 = np.asarray(matrix).reshape(2, 2, 2, 2)  # [x, y, a, b]
@@ -267,7 +291,7 @@ def _dense_scan_winner(box: nb.Box) -> tuple[float, int, int]:
     the smallest class pair within 1e-12 of it. Independent of the search's
     signed coordinates: each class enters through the 0/1 tensor of its
     smallest code, and the box through the two copies' product table."""
-    u = search._u_tensor()[search._dedup().rep_codes].astype(float)
+    u = _rep_tensor().astype(float)
     n = len(u)
     flat_u = u.reshape(n, 64)
     t = np.einsum("cam,mn->can", u, _box_kernel(box.matrix))
@@ -322,14 +346,27 @@ def test_search_matches_dense_eight_functional_scan(box):
 )
 def test_separable_rows_match_the_18_coordinate_rows(box):
     dedup, reps = search._dedup(), search._orbits().reps
-    plus, minus = search._s_rows(box, reps)
-    row_max = search._row_max(plus, minus)
+    h = search._half_products(box)
+    row_max = search._row_max(h, reps)
     s_rows = search._functional_rows(box, search._CHSH_SIGNS[0], dedup.signed[reps]) @ dedup.signed.reshape(-1, 18).T
     assert np.max(np.abs(row_max - s_rows.max(axis=1))) <= 1e-13
-    for row in range(len(reps)):
-        bob = search._bob_row(plus, minus, row)
+    for row, alice in enumerate(reps):
+        bob = search._bob_row(h, alice)
         assert np.max(np.abs(bob - s_rows[row])) <= 1e-13
         assert bob.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
+
+
+@pytest.mark.parametrize("count", [1, search._ROW_BLOCK, search._ROW_BLOCK + 1, 3 * search._ROW_BLOCK + 5])
+def test_blocked_row_max_matches_unblocked(count):
+    # Alice rows in any order and count, across block boundaries: each block
+    # must land on its own rows of the result.
+    dedup = search._dedup()
+    alice = np.random.default_rng(count).permutation(len(dedup.rep_codes))[:count]
+    h = search._half_products(_nonlocal_random_box(2))
+    s0, s1 = dedup.half_of[alice].T
+    plus, minus = h[s0] + h[s1], h[s0] - h[s1]
+    unblocked = np.max([plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in dedup.in_order], axis=0)
+    assert np.array_equal(search._row_max(h, alice), unblocked)
 
 
 def test_search_composites_non_signaling(rng):
