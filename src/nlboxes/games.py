@@ -15,7 +15,7 @@ is the authority and the closed form is checked against it in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -102,14 +102,7 @@ class GameResult:
         return self.success - self.classical_baseline
 
     def to_json_dict(self) -> dict:
-        return {
-            "resource_nl": self.resource_nl,
-            "m": self.m,
-            "s_value": self.s_value,
-            "success": self.success,
-            "classical_baseline": self.classical_baseline,
-            "margin": self.margin,
-        }
+        return {**asdict(self), "margin": self.margin}
 
 
 def play_and_game(resource: Box, m: int = 1, tol: float = DEFAULT_TOL) -> GameResult:

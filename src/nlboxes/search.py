@@ -290,6 +290,7 @@ class SearchResult:
         return self.nl_out > self.nl_in + self.tol
 
     def to_json_dict(self) -> dict:
+        # Written out: the pinned form leaves out tol and the phase timings, and nests the box.
         return {
             "box": self.box.to_json_dict(),
             "nl_in": self.nl_in,

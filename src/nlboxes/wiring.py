@@ -175,6 +175,7 @@ class AdaptiveStrategy:
         return strategy
 
     def to_json_dict(self) -> dict:
+        # Written out: asdict would keep the nested tuples, and JSON reads back lists.
         return {
             "order": self.order,
             "first_input": list(self.first_input),
@@ -214,6 +215,7 @@ class Wiring2:
     bob: AdaptiveStrategy
 
     def to_json_dict(self) -> dict:
+        # Written out: each strategy turns its own tuples into lists.
         return {"alice": self.alice.to_json_dict(), "bob": self.bob.to_json_dict()}
 
 

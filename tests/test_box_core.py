@@ -227,6 +227,12 @@ def test_box_json_schema_errors():
         nb.Box.from_json("[1, 2, 3]")
     with pytest.raises(ValueError):
         nb.Box.from_json('{"rows": []}')
+    # np.array would convert each of these entries; a box file holds JSON numbers only.
+    for entry in ('"0.25"', "true", "false", "null"):
+        text = json.dumps({"matrix": [[0.25] * 4] * 4}).replace("0.25", entry, 1)
+        with pytest.raises(ValueError, match="must hold numbers"):
+            nb.Box.from_json(text)
+    assert nb.Box.from_json(json.dumps({"matrix": [[1, 0, 0, 0]] * 4})).matrix[0, 0] == 1.0
 
 
 def test_load_box_errors(tmp_path):
@@ -244,6 +250,9 @@ def test_load_box_errors(tmp_path):
         nb.load_box(str(path))
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(ValueError, match=r"^bad box file .*box\.json: 'utf-8' codec"):
+        nb.load_box(str(path))
+    path.write_text("[" * 100000)
+    with pytest.raises(ValueError, match=r"^bad box file .*box\.json: JSON nested too deeply$"):
         nb.load_box(str(path))
 
 

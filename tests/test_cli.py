@@ -273,3 +273,38 @@ def test_game_depth_below_one_exits_two(m, capsys):
     assert run(["game", "--eps", "0.1", "--m", m]) == 2
     err = capsys.readouterr().err
     assert err == f"--m must be in 1..16, got {m}\n"
+
+
+def test_optimize_above_the_n_max_cap_exits_two(capsys):
+    n_max = nb.MAX_OPTIMIZE_N + 1
+    assert run(["optimize", "--n-max", str(n_max)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"n_max must be in 2..{nb.MAX_OPTIMIZE_N}, got {n_max}\n"
+
+
+def _matrix_text(rows) -> str:
+    return json.dumps({"matrix": rows})
+
+
+STRINGS = _matrix_text([["0.5", "0", "0", "0.5"]] * 3 + [["0", "0.5", "0.5", "0"]])
+BOOLEANS = _matrix_text([[True, False, False, False]] * 4)
+NULLS = _matrix_text([[None, 0.5, 0.5, 0.0]] * 4)
+
+
+@pytest.mark.parametrize("command", ["validate", "search", "chsh"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100000, "JSON nested too deeply"), ("[" * 1000, "JSON nested too deeply"),
+     (STRINGS, "box matrix must hold numbers, got str"), (BOOLEANS, "box matrix must hold numbers, got bool"),
+     (NULLS, "box matrix must hold numbers, got NoneType")],
+    ids=["nested_100000", "nested_1000", "strings", "booleans", "nulls"],
+)
+def test_box_file_without_a_box_exits_two_with_one_line(command, text, message, tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--format", "csv"] if command == "chsh" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad box file {path}: {message}\n"

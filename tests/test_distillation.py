@@ -248,6 +248,7 @@ def test_optimizer_argument_errors():
         {"tol": math.nan},
         {"tol": -1e-9},
         {"tol": math.inf},
+        {"n_max": 1001},  # MAX_OPTIMIZE_N + 1
     ],
 )
 def test_optimizer_rejects_bad_steps_before_any_grid(kwargs, monkeypatch):
