@@ -97,7 +97,17 @@ class Box:
 
     @classmethod
     def from_json(cls, text: str) -> "Box":
-        return cls.from_json_dict(json.loads(text))
+        """The box of JSON text such as ``to_json`` writes.
+
+        Raises ``ValueError`` when the text holds no box, including text
+        nested too deeply for the decoder; malformed JSON raises its
+        ``json.JSONDecodeError``, also a ``ValueError``.
+        """
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise ValueError("JSON nested too deeply") from exc
+        return cls.from_json_dict(obj)
 
 
 @dataclass(frozen=True)
@@ -395,8 +405,6 @@ def load_box(path: str) -> Box:
             ) from exc
         except ValueError as exc:
             raise ValueError(f"bad box file {path}: {exc}") from exc
-        except RecursionError as exc:  # the decoder recurses once per nesting level
-            raise ValueError(f"bad box file {path}: JSON nested too deeply") from exc
 
 
 def chsh_csv(box: Box, tol: float = DEFAULT_TOL) -> str:

@@ -235,6 +235,14 @@ def test_box_json_schema_errors():
     assert nb.Box.from_json(json.dumps({"matrix": [[1, 0, 0, 0]] * 4})).matrix[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("depth", [1000, 100000])
+def test_box_json_nested_too_deeply_is_a_value_error(depth):
+    # The decoder recurses once per level; a library caller sees ValueError, not RecursionError.
+    with pytest.raises(ValueError, match="^JSON nested too deeply$") as info:
+        nb.Box.from_json("[" * depth)
+    assert isinstance(info.value.__cause__, RecursionError)
+
+
 def test_load_box_errors(tmp_path):
     with pytest.raises(OSError):
         nb.load_box(str(tmp_path / "missing.json"))

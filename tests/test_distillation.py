@@ -306,6 +306,56 @@ def test_default_optimizer_reaches_ceiling_exactly():
     assert slack <= 0.0
 
 
+def _bound_delta_grid() -> np.ndarray:
+    return np.sort(np.random.default_rng(14).uniform(0.0, 1.0 / 6.0, 257))
+
+
+def test_bound_is_at_least_the_objective():
+    ns = np.arange(2, 61)
+    delta = _bound_delta_grid()
+    values, _ = distill._lowest_feasible(ns, delta)
+    assert np.isfinite(values).sum() > 1000  # the grid reaches feasible points at many n
+    assert np.all(distill._bound(ns, delta) >= values)
+
+
+def test_lowest_feasible_row_alone_matches_its_grid_row_bit_for_bit():
+    # A pruned grid keeps only some n rows; each must give the same bits alone.
+    ns = np.arange(2, 61)
+    delta = _bound_delta_grid()
+    values, e = distill._lowest_feasible(ns, delta)
+    for k in range(ns.size):
+        row_values, row_e = distill._lowest_feasible(ns[k : k + 1], delta)
+        assert np.array_equal(row_values[0], values[k]), ns[k]
+        assert np.array_equal(row_e[0], e[k]), ns[k]
+
+
+@pytest.mark.parametrize("n_max", [3, 5, 20, 200])
+def test_optimizer_pruning_is_exact(n_max, monkeypatch):
+    pruned = nb.optimize_quantum_distillation(n_max=n_max)
+    monkeypatch.setattr(distill, "_bound", lambda ns, delta: np.full((ns.size, delta.size), np.inf))
+    assert nb.optimize_quantum_distillation(n_max=n_max) == pruned
+
+
+def test_default_optimizer_evaluates_only_the_n_2_row(monkeypatch):
+    rows = []
+    original = distill._lowest_feasible
+
+    def recorded(ns, delta):
+        rows.append(ns.tolist())
+        return original(ns, delta)
+
+    monkeypatch.setattr(distill, "_lowest_feasible", recorded)
+    nb.optimize_quantum_distillation()
+    # The coarse floor point, the coarse grid, then six refinement levels.
+    assert rows == [[2]] * 8
+
+
+def test_optimizer_answer_does_not_depend_on_n_max_at_the_defaults():
+    at_20 = nb.optimize_quantum_distillation(n_max=20)
+    for n_max in (2, 3, 1000):
+        assert nb.optimize_quantum_distillation(n_max=n_max) == at_20
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.002, 0.02, 0.04, 0.045, 0.06, 0.3])
 def test_fixed_delta_matches_eps_grid(delta):
     # 0.045 is feasible only above the gain root, not on the quantum boundary.
