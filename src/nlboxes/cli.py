@@ -164,8 +164,9 @@ def _cmd_search(args) -> int:
         print(f"NL_in  {result.nl_in:.9g}")
         print(f"NL_out {result.nl_out:.9g} ({'distilled' if result.distilled else 'no gain'})")
         print(f"strategies: {result.strategies_raw} raw, {result.strategies_deduped} after dedup")
-        print(f"wall time: {result.wall_time_s:.2f} s")
-        print(f"  kernel {result.kernel_s:.3f} s, scan {result.scan_s:.3f} s, verify {result.verify_s:.3f} s")
+        print(f"wall time: {result.wall_time_s * 1e3:.3g} ms")
+        print(f"  kernel {result.kernel_s * 1e3:.3g} ms, scan {result.scan_s * 1e3:.3g} ms,"
+              f" verify {result.verify_s * 1e3:.3g} ms")
         print(f"  scanned {result.alice_rows_scanned} Alice rows x {result.strategies_deduped} Bob classes"
               f" = {result.pairs_scanned} pairs")
     else:

@@ -15,7 +15,7 @@ interleave their queries, so no global schedule is needed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -90,6 +90,12 @@ def xor_correlator_law(box: Box, n: int, tol: float = DEFAULT_TOL) -> Correlator
     return Correlators(c.x00**n, c.x01**n, c.x10**n, c.x11**n)
 
 
+# A binary pair of a strategy map, indexed by its 2-bit field in the code
+# (first entry high), and back.
+_BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_PAIR_BITS = {pair: field for field, pair in enumerate(_BIT_PAIRS)}
+
+
 def _bit(value: int, name: str) -> int:
     value = int(value)
     if value not in (0, 1):
@@ -150,28 +156,34 @@ class AdaptiveStrategy:
 
     def encode(self) -> int:
         """Pack the maps into the 15-bit code; lexicographic on the maps."""
-        code = self.order
-        for hi, lo in (self.first_input, *self.second_input, *self.output[0], *self.output[1]):
-            code = code << 2 | hi << 1 | lo
-        return code
+        bits = _PAIR_BITS
+        (s0, s1), ((o00, o01), (o10, o11)) = self.second_input, self.output
+        return (
+            self.order << 14 | bits[self.first_input] << 12 | bits[s0] << 10 | bits[s1] << 8
+            | bits[o00] << 6 | bits[o01] << 4 | bits[o10] << 2 | bits[o11]
+        )
 
     @classmethod
     def decode(cls, code: int) -> "AdaptiveStrategy":
         """The strategy whose ``encode`` is ``code``.
 
-        The maps are sliced from the code's bits, so they are binary and
-        total by construction; the fields are set without the checks of
-        ``__post_init__``.
+        Below the order bit, the code holds seven 2-bit fields, one per
+        binary pair of the maps. Each field indexes ``_BIT_PAIRS``, whose
+        entries are tuples of plain ints, so the maps are binary and total
+        by construction. The fields are therefore set in one step, without
+        the checks of ``__post_init__``.
         """
         code = operator.index(code)
         if not 0 <= code < 1 << 15:
             raise ValueError(f"strategy code out of range: {code}")
-        bits = [(code >> i) & 1 for i in range(14, -1, -1)]
-        pairs = [tuple(bits[i:i + 2]) for i in range(1, 15, 2)]
-        maps = (bits[0], pairs[0], (pairs[1], pairs[2]), ((pairs[3], pairs[4]), (pairs[5], pairs[6])))
+        p = _BIT_PAIRS
         strategy = object.__new__(cls)
-        for name, value in zip(_STRATEGY_FIELDS, maps):
-            object.__setattr__(strategy, name, value)
+        vars(strategy).update(
+            order=code >> 14,
+            first_input=p[code >> 12 & 3],
+            second_input=(p[code >> 10 & 3], p[code >> 8 & 3]),
+            output=((p[code >> 6 & 3], p[code >> 4 & 3]), (p[code >> 2 & 3], p[code & 3])),
+        )
         return strategy
 
     def to_json_dict(self) -> dict:
@@ -182,9 +194,6 @@ class AdaptiveStrategy:
             "second_input": [list(row) for row in self.second_input],
             "output": [[list(inner) for inner in mid] for mid in self.output],
         }
-
-
-_STRATEGY_FIELDS = tuple(f.name for f in fields(AdaptiveStrategy))
 
 
 def xor_strategy() -> AdaptiveStrategy:

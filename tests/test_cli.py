@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -193,7 +194,13 @@ def test_search_table_shows_phases_under_wall_time(tmp_path, capsys):
     assert run(["search", str(path), "--format", "table"]) == 0
     lines = capsys.readouterr().out.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("wall time:"))
-    assert all(f"{phase} " in lines[at + 1] for phase in ("kernel", "scan", "verify"))
+    # Times in milliseconds to 3 significant digits, so a ~1 ms phase does not read 0.
+    num = r"([0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?)"
+    wall = re.fullmatch(rf"wall time: {num} ms", lines[at])
+    phases = re.fullmatch(rf"  kernel {num} ms, scan {num} ms, verify {num} ms", lines[at + 1])
+    assert wall and phases, lines[at:at + 2]
+    for text in wall.groups() + phases.groups():
+        assert f"{float(text):.3g}" == text and float(text) > 0
     assert "797 Alice rows x 6212 Bob classes = 4950964 pairs" in lines[at + 2]
 
 

@@ -60,6 +60,22 @@ def test_canonical_strategy_is_a_fixed_point():
         assert canon.encode() in reps
 
 
+def test_lookup_tables_agree_with_the_dedup_on_every_code():
+    dedup = search._dedup()
+    rep_of_code = dedup.rep_codes[dedup.class_of_code].tolist()
+    class_of_code = dedup.class_of_code.tolist()
+    for code in range(nb.RAW_STRATEGY_COUNT):
+        strat = nb.AdaptiveStrategy.decode(code)
+        canon = nb.canonical_strategy(strat)
+        key = nb.behavior_key(strat)
+        assert canon.encode() == rep_of_code[code]
+        assert key == class_of_code[code] and type(key) is int
+        (s0, s1), ((o00, o01), (o10, o11)) = canon.second_input, canon.output
+        fields = (canon.order, *canon.first_input, *s0, *s1, *o00, *o01, *o10, *o11)
+        assert all(type(v) is int for v in fields)
+    assert nb.enumerate_strategies() == [nb.AdaptiveStrategy.decode(c) for c in dedup.rep_codes.tolist()]
+
+
 def test_xor_strategy_is_represented():
     strategies = nb.enumerate_strategies()
     rep = nb.canonical_strategy(nb.xor_strategy())
