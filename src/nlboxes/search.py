@@ -46,14 +46,19 @@ Let V_o be the halves of the codes with order bit o, 66 for each o and the
 same at both inputs (flipping the input keeps the order bit). The halves
 are numbered V_0 only (16), shared (50), V_1 only (16), so V_0 and V_1 are
 the slices [0:66] and [16:82]. The classes' pairs (signed[0], signed[1])
-are exactly V_0 x V_0 together with V_1 x V_1. With H = halves R halves^T
-(82 x 82), an Alice row is plus = H[s0] + H[s1] and minus = H[s0] - H[s1],
-and S(s, t) = plus[t0] + minus[t1]. Its largest value over all Bob
-classes is the larger over o of max plus[V_o] + max minus[V_o]: rounded
-addition is monotone, so over a product set the maximum of the sums is the
-sum of the maxima, bit for bit. The scan reads every row maximum that way,
-in blocks of Alice rows, and gathers S against all Bob classes only for the
-winning row. It covers every Bob class, but only some Alice classes:
+are exactly V_0 x V_0 together with V_1 x V_1. With G = halves R^T
+(82 x 9) and an Alice class's columns u = s0 + s1 and w = s0 - s1,
+plus = G u and minus = G w hold the two terms against every half, and
+S(s, t) = plus[t0] + minus[t1]. Its largest value over all Bob classes is
+the larger over o of max plus[V_o] + max minus[V_o]: rounded addition is
+monotone, so over a product set the maximum of the sums is the sum of the
+maxima, bit for bit. The scan builds the columns of the scanned Alice
+classes once per process, takes plus and minus as two matrix products per
+block of Alice columns, and reads every row maximum off the contiguous row
+slices V_0 and V_1. For the winning row it gathers S against all Bob
+classes out of the same block product, so that row's largest entry is its
+row maximum bit for bit. The scan covers every Bob class, but only some
+Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -85,7 +90,7 @@ from itertools import product
 import numpy as np
 
 from .boxes import CHSH_SIGNS, DEFAULT_TOL, Box, _correlators, nl_correlators, require_non_signaling
-from .wiring import AdaptiveStrategy, Wiring2, compose_wiring2
+from .wiring import AdaptiveStrategy, Wiring2, _compose_wiring2
 
 RAW_STRATEGY_COUNT = 1 << 15
 
@@ -229,7 +234,8 @@ def _box_coordinates(box: Box) -> np.ndarray:
     """R = kron(Q, Q), the box in the two copies' no-signaling coordinates."""
     p = np.asarray(box.matrix).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)  # (a, x) x (b, y)
     q = _NS_LEFT_INVERSE @ p @ _NS_LEFT_INVERSE.T
-    return np.kron(q, q)
+    # One multiply per entry, as in np.kron, without its general-shape set-up.
+    return (q[:, None, :, None] * q[None, :, None, :]).reshape(9, 9)
 
 
 def _functional_rows(box: Box, signs: np.ndarray, alice_signed: np.ndarray) -> np.ndarray:
@@ -239,43 +245,58 @@ def _functional_rows(box: Box, signs: np.ndarray, alice_signed: np.ndarray) -> n
     return rows.reshape(*rows.shape[:-2], 18)
 
 
-def _half_products(box: Box) -> np.ndarray:
-    """H = halves R halves^T, the correlator X between two halves. An Alice
-    class with halves (s0, s1) has S against a Bob class with halves (t0, t1)
-    of plus[t0] + minus[t1], for plus = H[s0] + H[s1] and minus = H[s0] - H[s1]."""
-    halves = _dedup().halves
-    return halves @ _box_coordinates(box) @ halves.T
+def _half_functionals(box: Box) -> np.ndarray:
+    """G = halves R^T: row t of G times an Alice column u is u R halves[t]."""
+    return _dedup().halves @ _box_coordinates(box).T
 
 
-# Alice rows per block of ``_row_max``. Each (rows, 82) float temporary of a
-# block then stays under 128 KiB, glibc's default mmap threshold, so it comes
-# from the heap rather than from a fresh mapping; and at most three are live
-# at once. Unblocked (797 rows), or with a fourth live temporary, the heap
-# top outgrew glibc's trim threshold and each warm search faulted in about
-# 95 fresh pages.
+@lru_cache(maxsize=1)
+def _scan_columns() -> tuple[np.ndarray, np.ndarray]:
+    """The (9, 797) columns u = s0 + s1 and w = s0 - s1 of the scanned Alice
+    classes, the orbit minima, s_x a class's signed half at party input x.
+    Built on the first search, not with the dedup, so the cold dedup stays
+    as it is."""
+    signed = _dedup().signed[_orbits().reps]
+    return np.ascontiguousarray((signed[:, 0] + signed[:, 1]).T), np.ascontiguousarray((signed[:, 0] - signed[:, 1]).T)
+
+
+# Alice columns per block of ``_row_max``. Each (82, columns) product of a
+# block, 130,544 B at 199 columns, then stays under 128 KiB, glibc's default
+# mmap threshold, so it comes from the heap rather than from a fresh mapping;
+# and only the block's two products are live at once. With larger
+# temporaries the heap top outgrew glibc's trim threshold and each warm
+# search faulted in about 95 fresh pages.
 _ROW_BLOCK = 199
 
 
-def _row_max(h: np.ndarray, alice: np.ndarray) -> np.ndarray:
-    """Largest S of each Alice class over all Bob classes, equal bit for bit
-    to the largest entry of that class's ``_bob_row``."""
-    dedup = _dedup()
-    out = np.empty(len(alice))
-    for start in range(0, len(alice), _ROW_BLOCK):
-        s0, s1 = dedup.half_of[alice[start:start + _ROW_BLOCK]].T
-        first, second = h[s0], h[s1]
-        plus, minus = first + second, np.subtract(first, second, out=first)
-        out[start:start + _ROW_BLOCK] = np.max(
-            [plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in dedup.in_order], axis=0
+def _block_products(g: np.ndarray, columns: tuple[np.ndarray, np.ndarray], start: int) -> tuple[np.ndarray, np.ndarray]:
+    """plus = G u and minus = G w over the block of Alice columns from
+    ``start``, (82, block) each: the S of column c against a Bob class with
+    halves (t0, t1) is plus[t0, c] + minus[t1, c]. Both the row maxima and the
+    winning row read this product, so they agree bit for bit."""
+    block = slice(start, start + _ROW_BLOCK)
+    return g @ columns[0][:, block], g @ columns[1][:, block]
+
+
+def _row_max(g: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Largest S of each Alice column over all Bob classes, equal bit for bit
+    to the largest entry of that column's ``_bob_row``."""
+    v0, v1 = _dedup().in_order
+    out = np.empty(columns[0].shape[1])
+    for start in range(0, len(out), _ROW_BLOCK):
+        plus, minus = _block_products(g, columns, start)
+        out[start:start + _ROW_BLOCK] = np.maximum(
+            plus[v0].max(axis=0) + minus[v0].max(axis=0), plus[v1].max(axis=0) + minus[v1].max(axis=0)
         )
     return out
 
 
-def _bob_row(h: np.ndarray, alice: int) -> np.ndarray:
-    """S of one Alice class against every Bob class, in class order."""
+def _bob_row(g: np.ndarray, columns: tuple[np.ndarray, np.ndarray], column: int) -> np.ndarray:
+    """S of one Alice column against every Bob class, in class order."""
+    start = column - column % _ROW_BLOCK
+    plus, minus = _block_products(g, columns, start)
     half_of = _dedup().half_of
-    s0, s1 = half_of[alice]
-    return (h[s0] + h[s1])[half_of[:, 0]] + (h[s0] - h[s1])[half_of[:, 1]]
+    return plus[:, column - start][half_of[:, 0]] + minus[:, column - start][half_of[:, 1]]
 
 
 @dataclass(frozen=True)
@@ -290,18 +311,21 @@ class SearchResult:
     tol: float = DEFAULT_TOL  # the tolerance the search ran under
     # Where the time went, in seconds, and how much was scanned. These stay
     # out of the JSON form, which is pinned.
-    # Input checks, cached tables, box coordinates, H over the halves. In a
-    # fresh process the first call builds the cached tables (the dedup), which
-    # is most of the ~12 ms kernel of a CLI search.
+    # Input checks, cached tables, box coordinates, G over the halves. In a
+    # fresh process the first call builds the cached tables (the dedup, the
+    # orbits and the Alice columns), which is most of the ~12 ms kernel of a
+    # CLI search.
     kernel_s: float = 0.0
-    scan_s: float = 0.0  # row maxima in blocks of Alice rows, and the tie-break
+    scan_s: float = 0.0  # block products and row maxima per block of Alice columns, and the tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
     alice_rows_scanned: int = 0
     pairs_scanned: int = 0  # pairs the row maxima cover: Alice rows x Bob classes
 
     @property
     def distilled(self) -> bool:
-        return self.nl_out > self.nl_in + self.tol
+        """A gain from a non-local input. Every local box reaches 2 under a
+        wiring that outputs a deterministic box, which is no distillation."""
+        return self.nl_in > 2.0 + self.tol and self.nl_out > self.nl_in + self.tol
 
     def to_json_dict(self) -> dict:
         # Written out: the pinned form leaves out tol and the phase timings, and nests the box.
@@ -343,22 +367,24 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
 
     dedup = _dedup()
     orbits = _orbits()
-    h = _half_products(box)
+    columns = _scan_columns()
+    g = _half_functionals(box)
     kernel_done = time.perf_counter()
 
-    row_max = _row_max(h, orbits.reps)
+    row_max = _row_max(g, columns)
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
     best_si = int(orbits.reps[row])
-    best_ti = int(orbits.orbit_min[_bob_row(h, best_si) >= near].min())
+    best_ti = int(orbits.orbit_min[_bob_row(g, columns, row) >= near].min())
     scan_done = time.perf_counter()
 
     wiring = Wiring2(
         AdaptiveStrategy.decode(int(dedup.rep_codes[best_si])),
         AdaptiveStrategy.decode(int(dedup.rep_codes[best_ti])),
     )
-    nl_out = nl_correlators(_correlators(compose_wiring2(box, wiring, tol)))
+    # The box passed the entry check above; the composite is still checked.
+    nl_out = nl_correlators(_correlators(_compose_wiring2(box, wiring, tol)))
     if abs(nl_out - best_val) > 1e-9:
         raise AssertionError(
             f"scan value {best_val!r} disagrees with reference composition {nl_out!r}"

@@ -146,7 +146,7 @@ def test_distill_depth_cap(capsys):
         (["depolarize", "{box}"], 1),
         (["game", "{box}"], 1),
         (["game", "{box}", "--m", "3"], 1),
-        (["search", "{box}"], 3),  # entry check, then compose_wiring2's input and output checks
+        (["search", "{box}"], 2),  # entry check, then the composite's output check
         (["distill", "--eps", "0.1", "--n", "1..5"], 1),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
@@ -202,6 +202,18 @@ def test_search_table_shows_phases_under_wall_time(tmp_path, capsys):
     for text in wall.groups() + phases.groups():
         assert f"{float(text):.3g}" == text and float(text) > 0
     assert "797 Alice rows x 6212 Bob classes = 4950964 pairs" in lines[at + 2]
+
+
+@pytest.mark.parametrize(
+    "box, verdict",
+    [(nb.noise(), "NL_out 2 (no gain)"), (nb.p_eps(0.1), "NL_out 2.36 (distilled)")],
+    ids=["noise", "p_eps(0.1)"],
+)
+def test_search_table_verdict(box, verdict, tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text(box.to_json())
+    assert run(["search", str(path), "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == verdict
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

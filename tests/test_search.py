@@ -17,7 +17,7 @@ import nlboxes as nb
 from nlboxes import search
 from nlboxes.search import pair_nl_values
 from nlboxes.symmetry import Relabeling, chsh_stabilizer
-from conftest import pr_variant, random_ns_box
+from conftest import box_from_correlators, deterministic_vertices, ns_vertices, pr_variant, random_ns_box
 
 TOL = 1e-9
 
@@ -160,6 +160,21 @@ def test_distilled_uses_the_search_tolerance():
 def test_search_noise_stays_local():
     result = nb.search_2copy(nb.noise())
     assert result.nl_out <= 2.0 + TOL
+
+
+# Local boxes that a wiring lifts to CHSH value 2 by outputting a
+# deterministic box: a gain in the value, but no distillation.
+@pytest.mark.parametrize(
+    "box, nl_in",
+    [(nb.noise(), 0.0), (nb.isotropic(0.3), 1.2), (nb.p_eps_delta(0.0125, 0.0125), 1.95)],
+    ids=["noise", "isotropic(0.3)", "p_eps_delta(0.0125,0.0125)"],
+)
+def test_local_box_lifted_to_2_is_not_distilled(box, nl_in):
+    result = nb.search_2copy(box)
+    assert result.nl_in == pytest.approx(nl_in, abs=1e-12)
+    assert result.nl_out == pytest.approx(2.0, abs=1e-12)
+    assert result.nl_out > result.nl_in + result.tol
+    assert not result.distilled
 
 
 def test_search_isotropic_no_gain():
@@ -362,27 +377,141 @@ def test_search_matches_dense_eight_functional_scan(box):
 )
 def test_separable_rows_match_the_18_coordinate_rows(box):
     dedup, reps = search._dedup(), search._orbits().reps
-    h = search._half_products(box)
-    row_max = search._row_max(h, reps)
+    g, columns = search._half_functionals(box), search._scan_columns()
+    row_max = search._row_max(g, columns)
     s_rows = search._functional_rows(box, search._CHSH_SIGNS[0], dedup.signed[reps]) @ dedup.signed.reshape(-1, 18).T
     assert np.max(np.abs(row_max - s_rows.max(axis=1))) <= 1e-13
-    for row, alice in enumerate(reps):
-        bob = search._bob_row(h, alice)
+    # Every row, the block edges 0, 198, 199 and 796 included.
+    assert len(reps) == 797 and search._ROW_BLOCK == 199
+    for row in range(len(reps)):
+        bob = search._bob_row(g, columns, row)
         assert np.max(np.abs(bob - s_rows[row])) <= 1e-13
         assert bob.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
 
 
 @pytest.mark.parametrize("count", [1, search._ROW_BLOCK, search._ROW_BLOCK + 1, 3 * search._ROW_BLOCK + 5])
 def test_blocked_row_max_matches_unblocked(count):
-    # Alice rows in any order and count, across block boundaries: each block
-    # must land on its own rows of the result.
+    # Alice columns in any order and count, across block boundaries: each
+    # block must land on its own entries of the result.
     dedup = search._dedup()
     alice = np.random.default_rng(count).permutation(len(dedup.rep_codes))[:count]
-    h = search._half_products(_nonlocal_random_box(2))
-    s0, s1 = dedup.half_of[alice].T
+    g = search._half_functionals(_nonlocal_random_box(2))
+    signed = dedup.signed[alice]
+    columns = (np.ascontiguousarray((signed[:, 0] + signed[:, 1]).T), np.ascontiguousarray((signed[:, 0] - signed[:, 1]).T))
+    blocks = [search._block_products(g, columns, start) for start in range(0, count, search._ROW_BLOCK)]
+    plus, minus = (np.hstack(side) for side in zip(*blocks))
+    unblocked = np.max([plus[v].max(axis=0) + minus[v].max(axis=0) for v in dedup.in_order], axis=0)
+    assert np.array_equal(search._row_max(g, columns), unblocked)
+    # One product over all columns: a BLAS kernel may round its edge columns
+    # differently, so only to 1e-13.
+    whole = (g @ columns[0], g @ columns[1])
+    assert np.max(np.abs(plus - whole[0])) <= 1e-13 and np.max(np.abs(minus - whole[1])) <= 1e-13
+
+
+def _kron_coordinates(box: nb.Box) -> np.ndarray:
+    """R = kron(Q, Q) through np.kron."""
+    p = box.matrix.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    q = search._NS_LEFT_INVERSE @ p @ search._NS_LEFT_INVERSE.T
+    return np.kron(q, q)
+
+
+def _oracle_scan(box: nb.Box) -> tuple[np.ndarray, tuple[int, int]]:
+    """The scan through H = halves R halves^T, the correlator between two
+    halves, with R from np.kron: an Alice row's plus = H[s0] + H[s1] and
+    minus = H[s0] - H[s1], maxima per order bit along each row. Returns the
+    row maxima of the scanned Alice classes and the winning class pair."""
+    dedup, orbits = search._dedup(), search._orbits()
+    h = dedup.halves @ _kron_coordinates(box) @ dedup.halves.T
+    s0, s1 = dedup.half_of[orbits.reps].T
     plus, minus = h[s0] + h[s1], h[s0] - h[s1]
-    unblocked = np.max([plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in dedup.in_order], axis=0)
-    assert np.array_equal(search._row_max(h, alice), unblocked)
+    row_max = np.max([plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in dedup.in_order], axis=0)
+    near = row_max.max() - search._NEAR_MAX
+    row = int(np.argmax(row_max >= near))
+    bob = plus[row][dedup.half_of[:, 0]] + minus[row][dedup.half_of[:, 1]]
+    return row_max, (int(orbits.reps[row]), int(orbits.orbit_min[bob >= near].min()))
+
+
+# The search_stream benchmark's eight input kinds, rebuilt here from the
+# library's constructors so that the tests do not import the benchmark.
+_CORPUS_KINDS = (
+    "isotropic",
+    "p_eps_distillable",
+    "p_eps_outside",
+    "p_eps_delta_distillable",
+    "p_eps_delta_outside",
+    "depolarized",
+    "random_ns",
+    "pr_det_mix",
+)
+
+
+def _corpus_box(rng: np.random.Generator, kind: str) -> nb.Box:
+    if kind == "isotropic":
+        return nb.isotropic(rng.uniform(0.5, 1.0))
+    if kind == "p_eps_distillable":
+        return nb.p_eps(rng.uniform(0.02, 0.48))
+    if kind == "p_eps_outside":
+        return nb.p_eps(rng.uniform(0.52, 1.0))
+    if kind == "p_eps_delta_distillable":
+        # 3 d^2 - e^2 > 3 d - e with d = 1 - 2 delta, e = 1 - 2 eps.
+        while True:
+            eps, delta = rng.uniform(0.05, 0.45), rng.uniform(0.0, 0.05)
+            d, e = 1 - 2 * delta, 1 - 2 * eps
+            if 3 * d * d - e * e > 3 * d - e + 1e-3:
+                return nb.p_eps_delta(eps, delta)
+    if kind == "p_eps_delta_outside":
+        eps = rng.uniform(0.05, 0.45)
+        return nb.p_eps_delta(eps, rng.uniform(eps, 0.5))
+    if kind == "depolarized":
+        c = rng.uniform(0.5, 1.0) * rng.choice((-1.0, 1.0))
+        return box_from_correlators((c, c, c, -c))
+    if kind == "random_ns":  # three random vertices of the non-signaling polytope
+        vertices = ns_vertices()
+        picks = rng.choice(len(vertices), size=3, replace=False)
+        return nb.Box(np.tensordot(rng.dirichlet(np.ones(3)), [vertices[i].matrix for i in picks], axes=1))
+    if kind == "pr_det_mix":
+        lam = rng.uniform(0.3, 1.0)
+        return nb.Box(lam * nb.pr().matrix + (1 - lam) * deterministic_vertices()[rng.integers(16)].matrix)
+    raise ValueError(kind)
+
+
+def _search_corpus(seed: int, count: int) -> list[tuple[str, nb.Box]]:
+    """(kind, box): the exact tie p_eps(1/3), noise and PR, then the eight
+    kinds in seeded blocks, each block holding every kind once."""
+    rng = np.random.default_rng(seed)
+    corpus = [("p_eps(1/3)", nb.p_eps(1 / 3)), ("noise", nb.noise()), ("pr", nb.pr())]
+    while len(corpus) < count:
+        corpus.extend((kind, _corpus_box(rng, kind)) for kind in rng.permutation(_CORPUS_KINDS).tolist())
+    return corpus[:count]
+
+
+def _winning_pairs(boxes: list[nb.Box]) -> np.ndarray:
+    """The search's winning (Alice, Bob) class pair on each box, as int32."""
+    wirings = [nb.search_2copy(box).wiring for box in boxes]
+    return np.array([(nb.behavior_key(w.alice), nb.behavior_key(w.bob)) for w in wirings], dtype="<i4")
+
+
+def test_block_product_scan_matches_the_h_gather_oracle():
+    corpus = _search_corpus(16, 520)
+    assert {kind for kind, _ in corpus} == {*_CORPUS_KINDS, "p_eps(1/3)", "noise", "pr"}
+    columns = search._scan_columns()
+    pairs = _winning_pairs([box for _, box in corpus])
+    for (kind, box), pair in zip(corpus, pairs.tolist()):
+        oracle_max, oracle_pair = _oracle_scan(box)
+        assert np.array_equal(search._box_coordinates(box), _kron_coordinates(box)), kind
+        assert np.max(np.abs(search._row_max(search._half_functionals(box), columns) - oracle_max)) <= 1e-13, kind
+        assert tuple(pair) == oracle_pair, kind
+
+
+# sha256 of the winning (Alice, Bob) class pairs on _search_corpus(2024, 200),
+# as little-endian int32, computed with the H-gather scan. The pairs are
+# integers, so last-bit differences between BLAS kernels do not move it.
+WINNING_PAIRS_SHA256 = "236f29d0694c7abec48c27939cfe7886812bd1d19b8e987aceaa3ee22c7347b6"
+
+
+def test_winning_pairs_are_pinned():
+    pairs = _winning_pairs([box for _, box in _search_corpus(2024, 200)])
+    assert hashlib.sha256(pairs.tobytes()).hexdigest() == WINNING_PAIRS_SHA256
 
 
 def test_search_composites_non_signaling(rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,29 @@ def test_wiring2_projection_returns_input(rng):
     wiring = nb.Wiring2(nb.first_box_strategy(), nb.first_box_strategy())
     for box in (nb.p_eps(0.1), random_ns_box(rng)):
         assert_boxes_close(nb.compose_wiring2(box, wiring), box, tol=1e-12)
+
+
+def _compose_wiring2_numpy_scalars(box: nb.Box, wiring: nb.Wiring2) -> np.ndarray:
+    """``compose_wiring2``'s loop over numpy float64 scalars: the reference
+    for its products and their summation order."""
+    m = box.matrix
+    out = np.zeros((4, 4))
+    for x, y in product((0, 1), repeat=2):
+        for a1, a2, b1, b2 in product((0, 1), repeat=4):
+            (xa1, xa2), a = wiring.alice.trace(x, (a1, a2))
+            (yb1, yb2), b = wiring.bob.trace(y, (b1, b2))
+            p = m[2 * xa1 + yb1, 2 * a1 + b1] * m[2 * xa2 + yb2, 2 * a2 + b2]
+            out[2 * x + y, 2 * a + b] += p
+    return _clean(out, nb.DEFAULT_TOL)
+
+
+def test_compose_wiring2_matches_the_numpy_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for i in range(200):
+        box = random_ns_box(rng) if i % 2 else random_local_box(rng)
+        wiring = nb.Wiring2(random_strategy(rng), random_strategy(rng))
+        got = np.asarray(nb.compose_wiring2(box, wiring).matrix)
+        assert got.tobytes() == _compose_wiring2_numpy_scalars(box, wiring).tobytes()
 
 
 def test_wirings_cannot_create_nonlocality(rng):
