@@ -26,8 +26,10 @@ pairs collapse to the one with the smallest encoding; the resulting 6212
 classes are pinned by a digest in the tests. This also removes strategies
 that ignore a box end (the ignored end's marginal is input independent)
 and order swaps of non-adaptive plans. ``behavior_key`` and
-``canonical_strategy`` read a code's class and its smallest encoding off
-two flat uint16 tables over the 32768 codes, not off numpy scalars.
+``canonical_strategy`` read a code's class off a flat uint16 table over
+the 32768 codes, not off numpy scalars. ``canonical_strategy`` then
+returns its class's representative from a tuple that is decoded once per
+process, on the first call that needs it, so repeated calls share objects.
 
 The pair scan works in the same coordinates. The CHSH correlator X_xy of
 a composite counts each party's final bit 0 with +1 and 1 with -1, so it
@@ -118,11 +120,9 @@ class _Dedup:
     half_of: np.ndarray  # (class id, party input) -> row of halves
     signed: np.ndarray  # halves[half_of]: (class id, party input, 9)
     in_order: tuple[slice, slice]  # order bit o -> the rows V_o of halves
-    # The two scalar lookups, raw code -> class id and raw code -> smallest
-    # encoding of its class, as flat uint16 tables: Python indexes them in
-    # about a fifth of the time that two numpy scalar lookups take.
+    # The scalar lookup raw code -> class id as a flat uint16 table: Python
+    # indexes it in about a fifth of the time that a numpy scalar lookup takes.
     class_table: array
-    rep_table: array
 
 
 @lru_cache(maxsize=1)
@@ -164,10 +164,17 @@ def _dedup() -> _Dedup:
         half_of=half_of,
         signed=halves[half_of],
         in_order=(slice(0, int(in_v[0].sum())), slice(len(halves) - int(in_v[1].sum()), len(halves))),
-        # Through bytes: tolist() would box 32768 Python ints per table.
+        # Through bytes: tolist() would box 32768 Python ints.
         class_table=array("H", class_of_code.astype(np.uint16).tobytes()),
-        rep_table=array("H", rep_of_code.astype(np.uint16).tobytes()),
     )
+
+
+@lru_cache(maxsize=1)
+def _representatives() -> tuple[AdaptiveStrategy, ...]:
+    """Each class's smallest-encoding strategy, by class id. Decoded on the
+    first call that needs it, not with the dedup, so that a cold search
+    does not pay for 6212 strategies it never reads."""
+    return tuple(map(AdaptiveStrategy.decode, _dedup().rep_codes.tolist()))
 
 
 def behavior_key(strategy: AdaptiveStrategy) -> int:
@@ -176,13 +183,14 @@ def behavior_key(strategy: AdaptiveStrategy) -> int:
 
 
 def canonical_strategy(strategy: AdaptiveStrategy) -> AdaptiveStrategy:
-    """Smallest-encoding strategy with identical observable behavior."""
-    return AdaptiveStrategy.decode(_dedup().rep_table[strategy.encode()])
+    """Smallest-encoding strategy with identical observable behavior. Every
+    call for one class returns the same object."""
+    return _representatives()[_dedup().class_table[strategy.encode()]]
 
 
 def enumerate_strategies() -> list[AdaptiveStrategy]:
-    """Deduplicated strategies, sorted by encoding."""
-    return [AdaptiveStrategy.decode(int(c)) for c in _dedup().rep_codes]
+    """Deduplicated strategies, sorted by encoding, as a new list."""
+    return list(_representatives())
 
 
 def behavior_class_count() -> int:

@@ -94,6 +94,9 @@ def xor_correlator_law(box: Box, n: int, tol: float = DEFAULT_TOL) -> Correlator
 # (first entry high), and back.
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _PAIR_BITS = {pair: field for field, pair in enumerate(_BIT_PAIRS)}
+# A pair of binary pairs, indexed by its 4-bit field: shared tuples, so
+# decoded strategies share their ``second_input`` and ``output`` halves.
+_PAIR_PAIRS = tuple((p, q) for p in _BIT_PAIRS for q in _BIT_PAIRS)
 
 
 def _bit(value: int, name: str) -> int:
@@ -116,7 +119,10 @@ class AdaptiveStrategy:
 
     A strategy's 15-bit code is the bits of its four maps in field order,
     most significant bit first: ``order``, ``first_input[x]``,
-    ``second_input[x][o]``, ``output[x][o1][o2]``.
+    ``second_input[x][o]``, ``output[x][o1][o2]``. Each strategy holds its
+    code from construction on, as the plain attribute ``_code``, which is
+    not a field: equality, hashing, ``repr`` and the JSON form read the
+    fields only.
     """
 
     order: int
@@ -138,6 +144,12 @@ class AdaptiveStrategy:
         object.__setattr__(self, "first_input", fi)
         object.__setattr__(self, "second_input", si)
         object.__setattr__(self, "output", out)
+        bits = _PAIR_BITS
+        (s0, s1), ((o00, o01), (o10, o11)) = si, out
+        object.__setattr__(self, "_code", (
+            self.order << 14 | bits[fi] << 12 | bits[s0] << 10 | bits[s1] << 8
+            | bits[o00] << 6 | bits[o01] << 4 | bits[o10] << 2 | bits[o11]
+        ))
 
     def trace(self, x: int, outcomes: tuple[int, int]) -> tuple[tuple[int, int], int]:
         """Inputs fed to the physical copies and the final bit.
@@ -155,34 +167,33 @@ class AdaptiveStrategy:
         return inputs, final
 
     def encode(self) -> int:
-        """Pack the maps into the 15-bit code; lexicographic on the maps."""
-        bits = _PAIR_BITS
-        (s0, s1), ((o00, o01), (o10, o11)) = self.second_input, self.output
-        return (
-            self.order << 14 | bits[self.first_input] << 12 | bits[s0] << 10 | bits[s1] << 8
-            | bits[o00] << 6 | bits[o01] << 4 | bits[o10] << 2 | bits[o11]
-        )
+        """The 15-bit code of the maps; lexicographic on the maps. Packed once,
+        when the strategy is built or decoded."""
+        return self._code
 
     @classmethod
     def decode(cls, code: int) -> "AdaptiveStrategy":
         """The strategy whose ``encode`` is ``code``.
 
         Below the order bit, the code holds seven 2-bit fields, one per
-        binary pair of the maps. Each field indexes ``_BIT_PAIRS``, whose
-        entries are tuples of plain ints, so the maps are binary and total
-        by construction. The fields are therefore set in one step, without
-        the checks of ``__post_init__``.
+        binary pair of the maps. ``first_input`` is read off ``_BIT_PAIRS``
+        by its 2-bit field; ``second_input`` and each half of ``output`` are
+        read off ``_PAIR_PAIRS`` by their 4-bit fields. Both tables hold
+        shared tuples of plain ints, so the maps are binary and total by
+        construction. The fields and the code are therefore set in one step,
+        without the checks of ``__post_init__``.
         """
         code = operator.index(code)
         if not 0 <= code < 1 << 15:
             raise ValueError(f"strategy code out of range: {code}")
-        p = _BIT_PAIRS
+        pp = _PAIR_PAIRS
         strategy = object.__new__(cls)
         vars(strategy).update(
             order=code >> 14,
-            first_input=p[code >> 12 & 3],
-            second_input=(p[code >> 10 & 3], p[code >> 8 & 3]),
-            output=((p[code >> 6 & 3], p[code >> 4 & 3]), (p[code >> 2 & 3], p[code & 3])),
+            first_input=_BIT_PAIRS[code >> 12 & 3],
+            second_input=pp[code >> 8 & 15],
+            output=(pp[code >> 4 & 15], pp[code & 15]),
+            _code=code,
         )
         return strategy
 
@@ -239,19 +250,38 @@ def compose_wiring2(box: Box, wiring: Wiring2, tol: float = DEFAULT_TOL) -> Box:
     return _compose_wiring2(box, wiring, tol)
 
 
+def _trace_offsets(strategy: AdaptiveStrategy, scale: int) -> list[list[tuple[int, ...]]]:
+    """The strategy's 8 traces as index offsets, per party input x and in
+    outcome order (o0, o1) of the physical copies: the input fed to copy 0,
+    its outcome o0, the input fed to copy 1, its outcome o1, and the final
+    bit, each times ``scale``. A box entry sits at row 2 * (Alice's input) +
+    (Bob's) and column 2 * (Alice's outcome) + (Bob's), so Alice's scale is 2
+    and Bob's 1."""
+    return [
+        [
+            (scale * i0, scale * o0, scale * i1, scale * o1, scale * final)
+            for o0, o1 in product((0, 1), repeat=2)
+            for (i0, i1), final in [strategy.trace(x, (o0, o1))]
+        ]
+        for x in (0, 1)
+    ]
+
+
 def _compose_wiring2(box: Box, wiring: Wiring2, tol: float) -> Box:
     """``compose_wiring2`` of a box the caller has already checked; the
     composite is still checked."""
     # Python floats: the same products, added in the same order, as numpy
     # float64 scalars, without their per-operation overhead.
     m = box.matrix.tolist()
+    alice, bob = _trace_offsets(wiring.alice, 2), _trace_offsets(wiring.bob, 1)
     out = [[0.0] * 4 for _ in range(4)]
     for x, y in product((0, 1), repeat=2):
         row = out[2 * x + y]
-        for a1, a2, b1, b2 in product((0, 1), repeat=4):
-            (xa1, xa2), a = wiring.alice.trace(x, (a1, a2))
-            (yb1, yb2), b = wiring.bob.trace(y, (b1, b2))
-            row[2 * a + b] += m[2 * xa1 + yb1][2 * a1 + b1] * m[2 * xa2 + yb2][2 * a2 + b2]
+        # Alice's outcomes (a1, a2) outer and Bob's (b1, b2) inner: the terms
+        # are added in the order of one loop over (a1, a2, b1, b2).
+        for xa1, a1, xa2, a2, a in alice[x]:
+            for yb1, b1, yb2, b2, b in bob[y]:
+                row[a + b] += m[xa1 + yb1][a1 + b1] * m[xa2 + yb2][a2 + b2]
     result = Box(_clean(out, tol))
     check = is_non_signaling(result, tol)
     if not check.ok:

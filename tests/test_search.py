@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -74,6 +75,32 @@ def test_lookup_tables_agree_with_the_dedup_on_every_code():
         fields = (canon.order, *canon.first_input, *s0, *s1, *o00, *o01, *o10, *o11)
         assert all(type(v) is int for v in fields)
     assert nb.enumerate_strategies() == [nb.AdaptiveStrategy.decode(c) for c in dedup.rep_codes.tolist()]
+
+
+def test_canonical_strategy_returns_one_shared_representative_per_class():
+    dedup = search._dedup()
+    for code in np.random.default_rng(18).integers(0, nb.RAW_STRATEGY_COUNT, size=300).tolist():
+        strat = nb.AdaptiveStrategy.decode(code)
+        canon = nb.canonical_strategy(strat)
+        assert nb.canonical_strategy(strat) is canon
+        assert nb.canonical_strategy(nb.AdaptiveStrategy.decode(code)) is canon
+        assert nb.canonical_strategy(canon) is canon
+        expected = nb.AdaptiveStrategy.decode(int(dedup.rep_codes[dedup.class_of_code[code]]))
+        for field in dataclasses.fields(expected):
+            assert getattr(canon, field.name) == getattr(expected, field.name)
+        assert canon.encode() == expected.encode()
+
+
+def test_enumerated_list_is_a_copy():
+    first = nb.enumerate_strategies()
+    xor_rep = nb.canonical_strategy(nb.xor_strategy())
+    expected = list(first)
+    first.clear()
+    again = nb.enumerate_strategies()
+    assert again == expected and len(again) == nb.behavior_class_count()
+    again[nb.behavior_key(xor_rep)] = nb.first_box_strategy()
+    assert nb.canonical_strategy(nb.xor_strategy()) is xor_rep
+    assert nb.enumerate_strategies() == expected
 
 
 def test_xor_strategy_is_represented():

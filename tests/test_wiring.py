@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from itertools import product
 
 import numpy as np
@@ -236,8 +239,10 @@ def _decode_by_shifts(code: int) -> nb.AdaptiveStrategy:
 def test_strategy_encode_decode_round_trip():
     for code in range(1 << 15):
         strat = nb.AdaptiveStrategy.decode(code)
-        assert strat == _decode_by_shifts(code) == nb.AdaptiveStrategy(**strat.to_json_dict())
-        assert strat.encode() == _encode_by_shifts(strat) == code
+        # decode stores the code it read; the constructor packs the fields it checked.
+        built = nb.AdaptiveStrategy(**strat.to_json_dict())
+        assert strat == _decode_by_shifts(code) == built
+        assert strat.encode() == built.encode() == _encode_by_shifts(built) == code
     assert nb.AdaptiveStrategy.decode(nb.xor_strategy().encode()) == nb.xor_strategy()
     # decode skips the constructor's checks, so its fields must already be plain ints.
     strat = nb.AdaptiveStrategy.decode(np.int64(4966))
@@ -247,6 +252,21 @@ def test_strategy_encode_decode_round_trip():
         nb.AdaptiveStrategy.decode(1 << 15)
     with pytest.raises(TypeError):
         nb.AdaptiveStrategy.decode(4966.0)  # type: ignore[arg-type]
+
+
+def test_replace_copy_and_pickle_keep_the_code():
+    rng = np.random.default_rng(18)
+    for code in rng.integers(0, 1 << 15, size=200).tolist():
+        strat = nb.AdaptiveStrategy.decode(code)
+        flipped = dataclasses.replace(strat, order=1 - strat.order)
+        assert flipped.encode() == _encode_by_shifts(flipped) == code ^ 1 << 14
+        for other in (copy.copy(strat), copy.deepcopy(strat), pickle.loads(pickle.dumps(strat))):
+            assert other == strat and hash(other) == hash(strat)
+            assert other.encode() == code
+    # The stored code is no field: it stays out of equality, repr and the dict form.
+    strat = nb.xor_strategy()
+    assert [f.name for f in dataclasses.fields(strat)] == ["order", "first_input", "second_input", "output"]
+    assert "_code" not in repr(strat) and "_code" not in dataclasses.asdict(strat)
 
 
 def test_strategy_validation():
