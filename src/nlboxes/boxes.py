@@ -251,6 +251,12 @@ def _correlators(box: Box) -> Correlators:
     return Correlators(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
 
 
+def _correlator_rows(stack: np.ndarray) -> list[list[float]]:
+    """The correlators of each matrix in a (k, 4, 4) stack, as Python floats:
+    for each matrix, the bits ``_correlators`` gives its box."""
+    return (stack @ _CORR_SIGNS).tolist()
+
+
 def correlators(box: Box, tol: float = DEFAULT_TOL) -> Correlators:
     """The four signed sums P(00|xy) + P(11|xy) - P(01|xy) - P(10|xy)."""
     require_valid(box, tol)

@@ -41,11 +41,10 @@ import numpy as np
 
 from .boxes import (
     DEFAULT_TOL,
-    Box,
     Correlators,
     FamilyParams,
     _clean,
-    _correlators,
+    _correlator_rows,
     check_tol,
     format_17g,
     nl_correlators,
@@ -99,8 +98,11 @@ def nl_closed_eps_delta(eps: float, delta: float, n: int) -> float:
 
 def is_distillable_at(eps: float, delta: float, n: int) -> bool:
     """True iff the n-copy XOR protocol strictly gains on a non-local resource."""
-    nl_in = nl_closed_eps_delta(eps, delta, 1)
-    nl_out = nl_closed_eps_delta(eps, delta, n)
+    return _gains(nl_closed_eps_delta(eps, delta, 1), nl_closed_eps_delta(eps, delta, n))
+
+
+def _gains(nl_in: float, nl_out: float) -> bool:
+    """``is_distillable_at`` of the closed-form values at 1 and n copies."""
     return nl_out > nl_in + DISTILL_MARGIN and nl_in > 2.0 + DISTILL_MARGIN
 
 
@@ -155,8 +157,11 @@ def distillation_report(
 
     ``n_values`` is read once, so any iterable works; the rows follow its
     order, duplicates included. The resource is composed once, up to the
-    largest n, and each row reads its n off that run: the same numbers as
-    ``compose_xor`` at that n, bit for bit. Raises ``ValueError`` before
+    largest n, as one (n_max, 4, 4) stack that is cleaned and reduced to
+    correlators in one batch; each row reads its n off that batch: the same
+    numbers as ``compose_xor`` at that n, bit for bit. The closed form and
+    the composition are compared on every row, and the distillability
+    verdict reuses one nl_in for all rows. Raises ``ValueError`` before
     any composition unless every n is an int in 1..16 and
     delta <= eps <= 1 - delta, the regime where the closed form is the
     composed box's CHSH value. Each n is checked as it is read, so reading
@@ -176,16 +181,18 @@ def distillation_report(
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
-    powers = _xor_powers(resource, max(ns, default=1))
+    # Row k - 1 holds the correlators of the cleaned k-copy box.
+    correlator_rows = _correlator_rows(_clean(_xor_powers(resource, max(ns, default=1)), tol))
+    nl_in = nl_closed_eps_delta(eps, delta, 1)
     rows = []
     for n in ns:
         closed = nl_closed_eps_delta(eps, delta, n)
-        brute = nl_correlators(_correlators(Box(_clean(powers[n - 1], tol))))
+        brute = nl_correlators(Correlators(*correlator_rows[n - 1]))
         if abs(closed - brute) > tol:
             raise AssertionError(
                 f"closed form {closed!r} disagrees with composition {brute!r} at n={n}"
             )
-        rows.append(DistillationRow(n, closed, brute, is_distillable_at(eps, delta, n)))
+        rows.append(DistillationRow(n, closed, brute, _gains(nl_in, closed)))
     return DistillationReport(eps, delta, quantum, tuple(rows))
 
 

@@ -47,8 +47,10 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     Exact: for each input pair, the row of the result is the n-fold
     convolution of the copy's outcome distribution over XOR of output
     pairs, which sums the same products as enumerating all 4**n outcome
-    tuples. Requires 1 <= n <= 16. For several n of one box,
-    ``distillation_report`` composes once and reads each n off that run.
+    tuples. The convolution runs as n - 1 whole-array steps over all four
+    rows at once (see ``_xor_powers``). Requires 1 <= n <= 16. For several
+    n of one box, ``distillation_report`` composes once and reads each n
+    off that run.
     """
     _check_copies(n)
     require_non_signaling(box, tol)
@@ -60,22 +62,29 @@ def _compose_xor(box: Box, n: int, tol: float) -> Box:
     return Box(_clean(_xor_powers(box, n)[-1], tol))
 
 
+# XOR of outcome-pair indices: outcome pairs (a, b) are indexed by 2a+b, so
+# XOR of pairs is XOR of indices.
+_XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+
+
 def _xor_powers(box: Box, n_max: int) -> np.ndarray:
     """Rows of the 1- to ``n_max``-copy XOR compositions, before ``_clean``.
 
-    Entry k - 1 of the (n_max, 4, 4) result holds the rows of k copies:
-    each row after k - 1 steps of its convolution loop.
+    Entry k - 1 of the (n_max, 4, 4) result holds the rows of k copies.
+    Each copy adds one whole-array step over all four rows. With
+    ``shifted[r, i, j]`` the entry ``row_r[i ^ j]`` and ``acc`` the previous
+    step, the products ``t = acc[:, :, None] * shifted`` are summed over i
+    as ``(((0.0 + t[:, 0]) + t[:, 1]) + t[:, 2]) + t[:, 3]``. That is each
+    entry's order in ``sum(acc[i] * row[i ^ j] for i in range(4))``,
+    including the start from 0, which turns a -0.0 first term into +0.0, so
+    every step is bit for bit that scalar convolution.
     """
+    shifted = box.matrix[:, _XOR]
     powers = np.empty((n_max, 4, 4))
-    for r in range(4):
-        row = box.matrix[r]
-        steps = powers[:, r]
-        steps[0] = acc = row
-        for k in range(1, n_max):
-            # Outcome pairs (a, b) are indexed by 2a+b, so XOR of pairs is
-            # XOR of indices.
-            steps[k] = [sum(acc[i] * row[i ^ j] for i in range(4)) for j in range(4)]
-            acc = steps[k]
+    powers[0] = acc = box.matrix
+    for k in range(1, n_max):
+        t = acc[:, :, None] * shifted
+        powers[k] = acc = (((0.0 + t[:, 0]) + t[:, 1]) + t[:, 2]) + t[:, 3]
     return powers
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import nlboxes as nb
 from nlboxes import distill
+from nlboxes.boxes import _clean, _correlators, nl_correlators
+from nlboxes.wiring import _xor_powers
 
 TOL = 1e-9
 CEILING = 1.0 + math.sqrt(2.0)
@@ -136,6 +138,40 @@ def test_report_matches_single_n_composition_bit_for_bit():
         ):
             got = nb.distillation_report(eps, delta, n_values).to_json_dict()
             assert _float_bytes(got) == _float_bytes(_report_by_single_n(eps, delta, n_values))
+
+
+def _report_by_per_row_loop(eps: float, delta: float, n_values: list[int]) -> dict:
+    """Oracle: the report JSON read one row at a time off one composition, each
+    row with its own ``_clean``, ``Box`` and correlators, and its own
+    ``is_distillable_at``."""
+    powers = _xor_powers(nb.p_eps_delta(eps, delta), max(n_values))
+    rows = [
+        {
+            "n": n,
+            "nl_closed": nb.nl_closed_eps_delta(eps, delta, n),
+            "nl_brute": nl_correlators(_correlators(nb.Box(_clean(powers[n - 1], nb.DEFAULT_TOL)))),
+            "distilled": nb.is_distillable_at(eps, delta, n),
+        }
+        for n in n_values
+    ]
+    d, e = 1.0 - 2.0 * delta, 1.0 - 2.0 * eps
+    quantum, _ = nb.is_quantum_correlators(nb.Correlators(d, d, d, e))
+    return {"eps": eps, "delta": delta, "resource_quantum": quantum, "rows": rows}
+
+
+def test_report_rows_match_per_row_composition_bit_for_bit():
+    grid = [float(v) for v in np.linspace(0.0, 1.0, 41)]
+    points = [(eps, delta) for eps in grid[1:] for delta in grid if delta <= eps <= 1.0 - delta]
+    # The regime's edges: delta = eps, and eps = 1 - delta as the check computes it.
+    points += [(delta, delta) for delta in grid[1:21]] + [(1.0 - delta, delta) for delta in grid[:21]]
+    assert len(points) > 450
+    rng = np.random.default_rng(1919)
+    for i, (eps, delta) in enumerate(points):
+        n_values = list(range(1, 17)) if i % 2 else [int(n) for n in rng.integers(1, 17, size=6)]
+        got = nb.distillation_report(eps, delta, n_values)
+        want = _report_by_per_row_loop(eps, delta, n_values)
+        assert got.to_json_dict() == want
+        assert [row.nl_brute.hex() for row in got.rows] == [row["nl_brute"].hex() for row in want["rows"]]
 
 
 def test_report_reads_n_values_once():

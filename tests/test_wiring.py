@@ -17,6 +17,7 @@ from nlboxes.boxes import _clean
 from nlboxes.wiring import _compose_xor, _xor_powers
 from conftest import (
     assert_boxes_close,
+    deterministic_vertices,
     random_local_box,
     random_ns_box,
     random_strategy,
@@ -136,14 +137,35 @@ def _compose_xor_loop(box: nb.Box, n: int) -> np.ndarray:
     return _clean(np.array(rows), nb.DEFAULT_TOL)
 
 
-def test_xor_powers_steps_match_single_n_bit_for_bit(rng):
-    boxes = [nb.p_eps(0.1), nb.p_eps_delta(0.3, 0.02), nb.pr(), random_ns_box(rng)]
-    for vertex in (nb.pr(), nb.deterministic((0, 1), (1, 1)), random_ns_box(rng)):
+def _xor_kernel_corpus(rng: np.random.Generator) -> list[nb.Box]:
+    """Seeded boxes for the XOR kernel: family members, 500 random no-signaling
+    boxes, family grids, vertices with -0.0 for every zero, and boxes with
+    entries in [-tol, 0)."""
+    boxes = [nb.p_eps(0.1), nb.p_eps_delta(0.3, 0.02), nb.pr()]
+    boxes += [random_ns_box(rng) for _ in range(500)]
+    grid = np.linspace(0.0, 1.0, 11)
+    boxes += [nb.p_eps_delta(float(eps), float(delta)) for eps in grid[1:] for delta in grid]
+    boxes += [nb.isotropic(float(eta)) for eta in grid]
+    for vertex in (nb.pr(), nb.deterministic((0, 1), (1, 1)), random_ns_box(rng), nb.p_eps(1.0)):
         m = np.array(vertex.matrix)
         m[m == 0.0] = -0.0
         boxes.append(nb.Box(m))
-    signed_zeros = 0
-    for box in boxes:
+    for vertex in (nb.pr(), nb.p_eps(1.0), *deterministic_vertices()[::3]):
+        # Rounding dust below zero, moved from each row's largest entry.
+        m = np.array(vertex.matrix)
+        for row in m:
+            zeros = row == 0.0
+            dust = rng.uniform(0.0, nb.DEFAULT_TOL, size=int(zeros.sum()))
+            row[zeros] = -dust
+            row[np.argmax(row)] += dust.sum()
+        boxes.append(nb.Box(m))
+    return boxes
+
+
+def test_xor_powers_steps_match_single_n_bit_for_bit(rng):
+    signed_zeros = dust = 0
+    for box in _xor_kernel_corpus(rng):
+        dust += int(np.any((box.matrix < 0.0) & (box.matrix >= -nb.DEFAULT_TOL)))
         powers = _xor_powers(box, 16)
         assert powers.shape == (16, 4, 4)
         for k in range(1, 17):
@@ -152,6 +174,7 @@ def test_xor_powers_steps_match_single_n_bit_for_bit(rng):
             assert step.tobytes() == _compose_xor_loop(box, k).tobytes()
             signed_zeros += int(np.sum(np.signbit(step) & (step == 0.0)))
     assert signed_zeros > 0  # the sign of zero is really compared
+    assert dust == 8  # and entries in [-tol, 0) really reach the kernel
 
 
 def test_wiring2_xor_strategy_equals_compose_xor(rng):
