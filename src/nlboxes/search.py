@@ -25,11 +25,12 @@ identical composites on every non-signaling resource. Codes with equal
 pairs collapse to the one with the smallest encoding; the resulting 6212
 classes are pinned by a digest in the tests. This also removes strategies
 that ignore a box end (the ignored end's marginal is input independent)
-and order swaps of non-adaptive plans. ``behavior_key`` and
-``canonical_strategy`` read a code's class off a flat uint16 table over
-the 32768 codes, not off numpy scalars. ``canonical_strategy`` then
-returns its class's representative from a tuple that is decoded once per
-process, on the first call that needs it, so repeated calls share objects.
+and order swaps of non-adaptive plans. ``behavior_key`` reads a code's
+class off a flat uint16 table over the 32768 codes, not off numpy scalars.
+``canonical_strategy`` indexes one flat tuple over the 32768 codes that
+holds each code's class representative. The representatives are decoded
+once per process and the tuple is filled on the first call, so every call
+for one class returns the same object, and a search alone builds neither.
 
 The pair scan works in the same coordinates. The CHSH correlator X_xy of
 a composite counts each party's final bit 0 with +1 and 1 with -1, so it
@@ -54,13 +55,19 @@ plus = G u and minus = G w hold the two terms against every half, and
 S(s, t) = plus[t0] + minus[t1]. Its largest value over all Bob classes is
 the larger over o of max plus[V_o] + max minus[V_o]: rounded addition is
 monotone, so over a product set the maximum of the sums is the sum of the
-maxima, bit for bit. The scan builds the columns of the scanned Alice
-classes once per process, takes plus and minus as two matrix products per
-block of Alice columns, and reads every row maximum off the contiguous row
-slices V_0 and V_1. For the winning row it gathers S against all Bob
-classes out of the same block product, so that row's largest entry is its
-row maximum bit for bit. The scan covers every Bob class, but only some
-Alice classes:
+maxima, bit for bit. plus depends on an Alice class only through u, and
+minus only through w, and the scanned Alice classes share columns: 797
+classes have 578 distinct u and 499 distinct w. The scan builds those
+distinct columns once per process, takes G c as one matrix product per
+block of distinct columns, and keeps each column's two maxima over the
+contiguous row slices V_0 and V_1; an Alice row's maximum is gathered from
+the maxima of its u and w columns. For the winning row it reads plus and
+minus out of the same block products and adds plus[h0] + minus[h1] over
+all 82 x 82 pairs of halves (half at input 0, half at input 1). A table of
+those pairs names the Bob class of each of the 6212 pairs that are
+classes; the largest sum among them is the row maximum bit for bit, so
+the row's tie set is never empty. The scan covers every Bob class, but
+only some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -179,13 +186,27 @@ def _representatives() -> tuple[AdaptiveStrategy, ...]:
 
 def behavior_key(strategy: AdaptiveStrategy) -> int:
     """Stable id of the strategy's behavior class."""
-    return _dedup().class_table[strategy.encode()]
+    return _dedup().class_table[strategy._code]
+
+
+# Raw code -> its class's shared representative, filled by the first call of
+# ``canonical_strategy``. A module-level tuple and not an lru_cache: the
+# lookup is one index, and a cached-function call costs several times that.
+# On a 2-core Xeon, 256 lookups took 110 us this way and 177 us through an
+# lru_cache, of which 92 us is the calls into ``canonical_strategy`` themselves.
+_canonical: tuple[AdaptiveStrategy, ...] = ()
+
+
+def _build_canonical() -> tuple[AdaptiveStrategy, ...]:
+    global _canonical
+    _canonical = tuple(map(_representatives().__getitem__, _dedup().class_table))
+    return _canonical
 
 
 def canonical_strategy(strategy: AdaptiveStrategy) -> AdaptiveStrategy:
     """Smallest-encoding strategy with identical observable behavior. Every
     call for one class returns the same object."""
-    return _representatives()[_dedup().class_table[strategy.encode()]]
+    return (_canonical or _build_canonical())[strategy._code]
 
 
 def enumerate_strategies() -> list[AdaptiveStrategy]:
@@ -258,53 +279,84 @@ def _half_functionals(box: Box) -> np.ndarray:
     return _dedup().halves @ _box_coordinates(box).T
 
 
+@dataclass(frozen=True)
+class _Scan:
+    # The distinct columns u = s0 + s1 and w = s0 - s1 of the scanned Alice
+    # classes, (9, columns) each, s_x a class's signed half at party input x.
+    columns: tuple[np.ndarray, np.ndarray]
+    column_of: np.ndarray  # (2, scanned Alice row) -> its u column, its w column
+    class_of_pair: np.ndarray  # (half at input 0, half at input 1) -> class id, or -1
+
+
+def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a small-integer (n, 9) array as contiguous
+    (9, distinct) columns, and each row's column. Rows are told apart by one
+    integer key each, their entries as digits: ``np.unique(axis=0)`` on the
+    797 rows takes about 2.8 ms, several times this whole set-up."""
+    digits = (rows - rows.min()).astype(np.int64)
+    keys = digits @ (int(digits.max()) + 1) ** np.arange(rows.shape[1])
+    _, first, column_of = np.unique(keys, return_index=True, return_inverse=True)
+    return np.ascontiguousarray(rows[first].T), column_of
+
+
 @lru_cache(maxsize=1)
-def _scan_columns() -> tuple[np.ndarray, np.ndarray]:
-    """The (9, 797) columns u = s0 + s1 and w = s0 - s1 of the scanned Alice
-    classes, the orbit minima, s_x a class's signed half at party input x.
-    Built on the first search, not with the dedup, so the cold dedup stays
-    as it is."""
-    signed = _dedup().signed[_orbits().reps]
-    return np.ascontiguousarray((signed[:, 0] + signed[:, 1]).T), np.ascontiguousarray((signed[:, 0] - signed[:, 1]).T)
+def _scan() -> _Scan:
+    """Built on the first search, not with the dedup, so the cold dedup
+    stays as it is."""
+    dedup = _dedup()
+    signed = dedup.signed[_orbits().reps]
+    (u, u_of), (w, w_of) = map(_distinct_columns, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1]))
+    class_of_pair = np.full((len(dedup.halves),) * 2, -1)
+    class_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]] = np.arange(len(dedup.half_of))
+    return _Scan((u, w), np.stack([u_of, w_of]), class_of_pair)
 
 
-# Alice columns per block of ``_row_max``. Each (82, columns) product of a
-# block, 130,544 B at 199 columns, then stays under 128 KiB, glibc's default
-# mmap threshold, so it comes from the heap rather than from a fresh mapping;
-# and only the block's two products are live at once. With larger
-# temporaries the heap top outgrew glibc's trim threshold and each warm
-# search faulted in about 95 fresh pages.
+# Columns per block product. Each (82, columns) product, 130,544 B at 199
+# columns, then stays under 128 KiB, glibc's default mmap threshold, so it
+# comes from the heap rather than from a fresh mapping; and only one block
+# product is live at once. With larger temporaries the heap top outgrew
+# glibc's trim threshold and each warm search faulted in about 95 fresh
+# pages.
 _ROW_BLOCK = 199
 
 
-def _block_products(g: np.ndarray, columns: tuple[np.ndarray, np.ndarray], start: int) -> tuple[np.ndarray, np.ndarray]:
-    """plus = G u and minus = G w over the block of Alice columns from
-    ``start``, (82, block) each: the S of column c against a Bob class with
-    halves (t0, t1) is plus[t0, c] + minus[t1, c]. Both the row maxima and the
-    winning row read this product, so they agree bit for bit."""
-    block = slice(start, start + _ROW_BLOCK)
-    return g @ columns[0][:, block], g @ columns[1][:, block]
+def _block_product(g: np.ndarray, columns: np.ndarray, start: int) -> np.ndarray:
+    """G c for the block of columns from ``start``, (82, block). The column
+    maxima and the winning row's pair sums both read G c out of this
+    product, so they agree bit for bit."""
+    return g @ columns[:, start:start + _ROW_BLOCK]
 
 
-def _row_max(g: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Largest S of each Alice column over all Bob classes, equal bit for bit
-    to the largest entry of that column's ``_bob_row``."""
-    v0, v1 = _dedup().in_order
-    out = np.empty(columns[0].shape[1])
-    for start in range(0, len(out), _ROW_BLOCK):
-        plus, minus = _block_products(g, columns, start)
-        out[start:start + _ROW_BLOCK] = np.maximum(
-            plus[v0].max(axis=0) + minus[v0].max(axis=0), plus[v1].max(axis=0) + minus[v1].max(axis=0)
-        )
+def _column_maxima(g: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(2, columns): the largest entry of G c over the halves V_0 and over
+    V_1, for each column c."""
+    in_order = _dedup().in_order
+    out = np.empty((2, columns.shape[1]))
+    for start in range(0, columns.shape[1], _ROW_BLOCK):
+        product = _block_product(g, columns, start)
+        for o, v in enumerate(in_order):
+            out[o, start:start + _ROW_BLOCK] = product[v].max(axis=0)
     return out
 
 
-def _bob_row(g: np.ndarray, columns: tuple[np.ndarray, np.ndarray], column: int) -> np.ndarray:
-    """S of one Alice column against every Bob class, in class order."""
-    start = column - column % _ROW_BLOCK
-    plus, minus = _block_products(g, columns, start)
-    half_of = _dedup().half_of
-    return plus[:, column - start][half_of[:, 0]] + minus[:, column - start][half_of[:, 1]]
+def _row_max(g: np.ndarray, scan: _Scan) -> np.ndarray:
+    """Largest S of each scanned Alice row over all Bob classes, the larger
+    over o of max plus[V_o] + max minus[V_o]; equal bit for bit to the
+    largest of the row's ``_pair_values`` that are classes."""
+    plus, minus = (_column_maxima(g, c) for c in scan.columns)
+    u, w = scan.column_of
+    return np.maximum(plus[0, u] + minus[0, w], plus[1, u] + minus[1, w])
+
+
+def _pair_values(g: np.ndarray, scan: _Scan, row: int) -> np.ndarray:
+    """S of one scanned Alice row against every pair of halves (h0, h1),
+    plus[h0] + minus[h1], (82, 82). The pairs with ``class_of_pair`` >= 0
+    are the Bob classes."""
+    plus, minus = (
+        _block_product(g, c, i - i % _ROW_BLOCK)[:, i % _ROW_BLOCK]
+        for c, i in zip(scan.columns, scan.column_of[:, row].tolist())
+    )
+    return plus[:, None] + minus
 
 
 @dataclass(frozen=True)
@@ -321,10 +373,10 @@ class SearchResult:
     # out of the JSON form, which is pinned.
     # Input checks, cached tables, box coordinates, G over the halves. In a
     # fresh process the first call builds the cached tables (the dedup, the
-    # orbits and the Alice columns), which is most of the ~12 ms kernel of a
-    # CLI search.
+    # orbits and the scan's distinct Alice columns), which is most of the
+    # ~12 ms kernel of a CLI search.
     kernel_s: float = 0.0
-    scan_s: float = 0.0  # block products and row maxima per block of Alice columns, and the tie-break
+    scan_s: float = 0.0  # block products and column maxima per block of distinct Alice columns, and the tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
     alice_rows_scanned: int = 0
     pairs_scanned: int = 0  # pairs the row maxima cover: Alice rows x Bob classes
@@ -375,16 +427,17 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
 
     dedup = _dedup()
     orbits = _orbits()
-    columns = _scan_columns()
+    scan = _scan()
     g = _half_functionals(box)
     kernel_done = time.perf_counter()
 
-    row_max = _row_max(g, columns)
+    row_max = _row_max(g, scan)
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
     best_si = int(orbits.reps[row])
-    best_ti = int(orbits.orbit_min[_bob_row(g, columns, row) >= near].min())
+    tied = scan.class_of_pair[_pair_values(g, scan, row) >= near]
+    best_ti = int(orbits.orbit_min[tied[tied >= 0]].min())
     scan_done = time.perf_counter()
 
     wiring = Wiring2(

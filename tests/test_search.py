@@ -61,20 +61,55 @@ def test_canonical_strategy_is_a_fixed_point():
         assert canon.encode() in reps
 
 
-def test_lookup_tables_agree_with_the_dedup_on_every_code():
+def test_lookup_tables_agree_with_the_dedup_on_every_code(monkeypatch):
     dedup = search._dedup()
     rep_of_code = dedup.rep_codes[dedup.class_of_code].tolist()
     class_of_code = dedup.class_of_code.tolist()
+    representatives = search._representatives()
     for code in range(nb.RAW_STRATEGY_COUNT):
         strat = nb.AdaptiveStrategy.decode(code)
         canon = nb.canonical_strategy(strat)
         key = nb.behavior_key(strat)
+        assert canon is representatives[class_of_code[code]]
         assert canon.encode() == rep_of_code[code]
         assert key == class_of_code[code] and type(key) is int
         (s0, s1), ((o00, o01), (o10, o11)) = canon.second_input, canon.output
         fields = (canon.order, *canon.first_input, *s0, *s1, *o00, *o01, *o10, *o11)
         assert all(type(v) is int for v in fields)
     assert nb.enumerate_strategies() == [nb.AdaptiveStrategy.decode(c) for c in dedup.rep_codes.tolist()]
+    # The flat table is built once: later calls index the same tuple and
+    # never call ``_build_canonical`` again.
+    table = search._canonical
+    assert type(table) is tuple and len(table) == nb.RAW_STRATEGY_COUNT
+
+    def rebuild():
+        raise AssertionError("canonical_strategy rebuilt its table")
+
+    monkeypatch.setattr(search, "_build_canonical", rebuild)
+    for code in range(0, nb.RAW_STRATEGY_COUNT, 97):
+        assert nb.canonical_strategy(nb.AdaptiveStrategy.decode(code)) is table[code]
+    assert search._canonical is table
+
+
+def test_cold_search_builds_no_representatives_and_the_flat_table_once():
+    # A search never reads the class representatives, so a cold search
+    # decodes none of them; the first canonical_strategy call builds the flat
+    # table, and no later call builds it again.
+    code = (
+        "import nlboxes as nb\n"
+        "from nlboxes import search\n"
+        "builds = []\n"
+        "build = search._build_canonical\n"
+        "search._build_canonical = lambda: builds.append(1) or build()\n"
+        "nb.search_2copy(nb.p_eps(0.1))\n"
+        "print(search._representatives.cache_info().currsize, len(search._canonical), len(builds))\n"
+        "for c in range(0, nb.RAW_STRATEGY_COUNT, 5):\n"
+        "    nb.canonical_strategy(nb.AdaptiveStrategy.decode(c))\n"
+        "print(search._representatives.cache_info().currsize, len(search._canonical), len(builds))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split("\n")[:2] == ["0 0 0", f"1 {nb.RAW_STRATEGY_COUNT} 1"]
 
 
 def test_canonical_strategy_returns_one_shared_representative_per_class():
@@ -235,6 +270,24 @@ def test_signed_halves_split_by_order_bit():
     pairs = {tuple(p) for p in dedup.half_of.tolist()}
     assert len(pairs) == 6212
     assert pairs == set(product(v0, v0)) | set(product(v1, v1))
+    # The scan's table of half pairs names exactly these classes.
+    class_of_pair = search._scan().class_of_pair
+    assert class_of_pair.shape == (82, 82) and np.count_nonzero(class_of_pair >= 0) == 6212
+    assert np.array_equal(class_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]], np.arange(6212))
+    assert set(class_of_pair[class_of_pair < 0].tolist()) == {-1}
+
+
+def test_scan_columns_are_the_distinct_alice_columns():
+    # The 797 scanned Alice rows share 578 distinct u = s0 + s1 and 499
+    # distinct w = s0 - s1, and each row points at its own two columns.
+    dedup, scan = search._dedup(), search._scan()
+    signed = dedup.signed[search._orbits().reps]
+    for columns, column_of, rows, count in zip(
+        scan.columns, scan.column_of, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1]), (578, 499)
+    ):
+        assert columns.shape == (9, count) and columns.flags.c_contiguous
+        assert len({tuple(c) for c in columns.T.tolist()}) == count
+        assert np.array_equal(columns[:, column_of].T, rows)
 
 
 def test_signed_halves_match_trace():
@@ -403,36 +456,44 @@ def test_search_matches_dense_eight_functional_scan(box):
     ids=["p_eps(0.1)", "p_eps_delta(0.3,0.02)", "isotropic(0.8)", "noise", "random_ns", "random_nonlocal"],
 )
 def test_separable_rows_match_the_18_coordinate_rows(box):
-    dedup, reps = search._dedup(), search._orbits().reps
-    g, columns = search._half_functionals(box), search._scan_columns()
-    row_max = search._row_max(g, columns)
+    dedup, reps, scan = search._dedup(), search._orbits().reps, search._scan()
+    g = search._half_functionals(box)
+    row_max = search._row_max(g, scan)
     s_rows = search._functional_rows(box, search._CHSH_SIGNS[0], dedup.signed[reps]) @ dedup.signed.reshape(-1, 18).T
     assert np.max(np.abs(row_max - s_rows.max(axis=1))) <= 1e-13
-    # Every row, the block edges 0, 198, 199 and 796 included.
+    # Every row, so every distinct column and every block edge of both sets.
     assert len(reps) == 797 and search._ROW_BLOCK == 199
+    is_class = scan.class_of_pair >= 0
+    classes = scan.class_of_pair[is_class]
     for row in range(len(reps)):
-        bob = search._bob_row(g, columns, row)
-        assert np.max(np.abs(bob - s_rows[row])) <= 1e-13
-        assert bob.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
+        values = search._pair_values(g, scan, row)[is_class]
+        assert np.max(np.abs(values - s_rows[row, classes])) <= 1e-13
+        assert values.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
 
 
 @pytest.mark.parametrize("count", [1, search._ROW_BLOCK, search._ROW_BLOCK + 1, 3 * search._ROW_BLOCK + 5])
 def test_blocked_row_max_matches_unblocked(count):
-    # Alice columns in any order and count, across block boundaries: each
-    # block must land on its own entries of the result.
+    # Columns in any order and count, across block boundaries: each block
+    # must land on its own entries of the column maxima.
     dedup = search._dedup()
     alice = np.random.default_rng(count).permutation(len(dedup.rep_codes))[:count]
     g = search._half_functionals(_nonlocal_random_box(2))
     signed = dedup.signed[alice]
-    columns = (np.ascontiguousarray((signed[:, 0] + signed[:, 1]).T), np.ascontiguousarray((signed[:, 0] - signed[:, 1]).T))
-    blocks = [search._block_products(g, columns, start) for start in range(0, count, search._ROW_BLOCK)]
-    plus, minus = (np.hstack(side) for side in zip(*blocks))
+    sides = (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
+    for rows in sides:
+        columns = np.ascontiguousarray(rows.T)
+        blocks = np.hstack([search._block_product(g, columns, start) for start in range(0, count, search._ROW_BLOCK)])
+        assert np.array_equal(search._column_maxima(g, columns), [blocks[v].max(axis=0) for v in dedup.in_order])
+        # One product over all columns: a BLAS kernel may round its edge
+        # columns differently, so only to 1e-13.
+        assert np.max(np.abs(blocks - g @ columns)) <= 1e-13
+    # Row maxima gathered from these classes' distinct columns, against the
+    # same maxima taken over each class's own columns in one product.
+    (u, u_of), (w, w_of) = map(search._distinct_columns, sides)
+    scan = search._Scan((u, w), np.stack([u_of, w_of]), search._scan().class_of_pair)
+    plus, minus = (g @ rows.T for rows in sides)
     unblocked = np.max([plus[v].max(axis=0) + minus[v].max(axis=0) for v in dedup.in_order], axis=0)
-    assert np.array_equal(search._row_max(g, columns), unblocked)
-    # One product over all columns: a BLAS kernel may round its edge columns
-    # differently, so only to 1e-13.
-    whole = (g @ columns[0], g @ columns[1])
-    assert np.max(np.abs(plus - whole[0])) <= 1e-13 and np.max(np.abs(minus - whole[1])) <= 1e-13
+    assert np.max(np.abs(search._row_max(g, scan) - unblocked)) <= 1e-13
 
 
 def _kron_coordinates(box: nb.Box) -> np.ndarray:
@@ -440,6 +501,17 @@ def _kron_coordinates(box: nb.Box) -> np.ndarray:
     p = box.matrix.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
     q = search._NS_LEFT_INVERSE @ p @ search._NS_LEFT_INVERSE.T
     return np.kron(q, q)
+
+
+def _bob_row(g: np.ndarray, row: int) -> np.ndarray:
+    """The scan's tie-break before the table of half pairs: S of one scanned
+    Alice row against every Bob class, in class order, gathered per class
+    out of a block product over the scanned rows' own columns."""
+    dedup, reps = search._dedup(), search._orbits().reps
+    start = row - row % search._ROW_BLOCK
+    signed = dedup.signed[reps[start:start + search._ROW_BLOCK]]
+    plus, minus = g @ (signed[:, 0] + signed[:, 1]).T, g @ (signed[:, 0] - signed[:, 1]).T
+    return plus[dedup.half_of[:, 0], row - start] + minus[dedup.half_of[:, 1], row - start]
 
 
 def _oracle_scan(box: nb.Box) -> tuple[np.ndarray, tuple[int, int]]:
@@ -521,13 +593,26 @@ def _winning_pairs(boxes: list[nb.Box]) -> np.ndarray:
 def test_block_product_scan_matches_the_h_gather_oracle():
     corpus = _search_corpus(16, 520)
     assert {kind for kind, _ in corpus} == {*_CORPUS_KINDS, "p_eps(1/3)", "noise", "pr"}
-    columns = search._scan_columns()
+    scan, orbit_min = search._scan(), search._orbits().orbit_min
+    is_class = scan.class_of_pair >= 0
     pairs = _winning_pairs([box for _, box in corpus])
     for (kind, box), pair in zip(corpus, pairs.tolist()):
         oracle_max, oracle_pair = _oracle_scan(box)
         assert np.array_equal(search._box_coordinates(box), _kron_coordinates(box)), kind
-        assert np.max(np.abs(search._row_max(search._half_functionals(box), columns) - oracle_max)) <= 1e-13, kind
+        g = search._half_functionals(box)
+        row_max = search._row_max(g, scan)
+        assert np.max(np.abs(row_max - oracle_max)) <= 1e-13, kind
         assert tuple(pair) == oracle_pair, kind
+        # The winning row's tie set through the table of half pairs, against
+        # the per-class gather it replaced.
+        near = row_max.max() - search._NEAR_MAX
+        row = int(np.argmax(row_max >= near))
+        values = search._pair_values(g, scan, row)
+        gathered = _bob_row(g, row)
+        assert np.max(np.abs(values[is_class] - gathered[scan.class_of_pair[is_class]])) <= 1e-13, kind
+        tied = scan.class_of_pair[(values >= near) & is_class]
+        assert np.array_equal(np.sort(tied), np.flatnonzero(gathered >= near)), kind
+        assert orbit_min[tied].min() == pair[1], kind
 
 
 # sha256 of the winning (Alice, Bob) class pairs on _search_corpus(2024, 200),

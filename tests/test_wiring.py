@@ -283,9 +283,14 @@ def test_replace_copy_and_pickle_keep_the_code():
         strat = nb.AdaptiveStrategy.decode(code)
         flipped = dataclasses.replace(strat, order=1 - strat.order)
         assert flipped.encode() == _encode_by_shifts(flipped) == code ^ 1 << 14
+        # canonical_strategy indexes by the stored code, so every copy must
+        # reach its class's one shared representative.
+        assert nb.canonical_strategy(flipped) is nb.canonical_strategy(nb.AdaptiveStrategy.decode(code ^ 1 << 14))
+        canon = nb.canonical_strategy(strat)
         for other in (copy.copy(strat), copy.deepcopy(strat), pickle.loads(pickle.dumps(strat))):
             assert other == strat and hash(other) == hash(strat)
             assert other.encode() == code
+            assert nb.canonical_strategy(other) is canon
     # The stored code is no field: it stays out of equality, repr and the dict form.
     strat = nb.xor_strategy()
     assert [f.name for f in dataclasses.fields(strat)] == ["order", "first_input", "second_input", "output"]
