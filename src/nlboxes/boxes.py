@@ -51,6 +51,8 @@ def _as_matrix(values) -> np.ndarray:
         arr = np.array(values, dtype=float)
     except TypeError as exc:  # entries such as JSON objects
         raise ValueError(f"box matrix must hold numbers: {exc}") from exc
+    except OverflowError as exc:  # integers such as JSON's 1 followed by 400 zeros
+        raise ValueError("box matrix entry is too large for a float") from exc
     if arr.shape != (4, 4):
         raise ValueError(f"box matrix must be 4x4, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -83,7 +85,8 @@ class Box:
 
         Raises ``ValueError`` for any other object, including one whose
         entries are strings, booleans or nulls, which ``np.array`` would
-        convert. NaN and infinite numbers pass, for ``validate`` to report.
+        convert, or an integer too large for a float. NaN and infinite
+        numbers pass, for ``validate`` to report.
         """
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise ValueError('box JSON must be an object with a "matrix" key')

@@ -233,6 +233,11 @@ def test_box_json_schema_errors():
         with pytest.raises(ValueError, match="must hold numbers"):
             nb.Box.from_json(text)
     assert nb.Box.from_json(json.dumps({"matrix": [[1, 0, 0, 0]] * 4})).matrix[0, 0] == 1.0
+    # JSON integers are exact, so 1 followed by 400 zeros reaches np.array, which overflows.
+    text = json.dumps({"matrix": [[0.25] * 4] * 4}).replace("0.25", "1" + "0" * 400, 1)
+    with pytest.raises(ValueError, match="^box matrix entry is too large for a float$") as info:
+        nb.Box.from_json(text)
+    assert isinstance(info.value.__cause__, OverflowError)
 
 
 @pytest.mark.parametrize("depth", [1000, 100000])

@@ -309,6 +309,7 @@ def _matrix_text(rows) -> str:
 STRINGS = _matrix_text([["0.5", "0", "0", "0.5"]] * 3 + [["0", "0.5", "0.5", "0"]])
 BOOLEANS = _matrix_text([[True, False, False, False]] * 4)
 NULLS = _matrix_text([[None, 0.5, 0.5, 0.0]] * 4)
+HUGE = _matrix_text([[10**400, 0.5, 0.5, 0.0]] * 4)
 
 
 @pytest.mark.parametrize("command", ["validate", "search", "chsh"])
@@ -316,8 +317,9 @@ NULLS = _matrix_text([[None, 0.5, 0.5, 0.0]] * 4)
     "text, message",
     [("[" * 100000, "JSON nested too deeply"), ("[" * 1000, "JSON nested too deeply"),
      (STRINGS, "box matrix must hold numbers, got str"), (BOOLEANS, "box matrix must hold numbers, got bool"),
-     (NULLS, "box matrix must hold numbers, got NoneType")],
-    ids=["nested_100000", "nested_1000", "strings", "booleans", "nulls"],
+     (NULLS, "box matrix must hold numbers, got NoneType"),
+     (HUGE, "box matrix entry is too large for a float")],
+    ids=["nested_100000", "nested_1000", "strings", "booleans", "nulls", "huge_integer"],
 )
 def test_box_file_without_a_box_exits_two_with_one_line(command, text, message, tmp_path, capsys):
     path = tmp_path / "box.json"

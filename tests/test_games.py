@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 import nlboxes as nb
-from conftest import box_from_correlators, random_ns_box
+from conftest import box_from_correlators, ns_vertices, random_ns_box
+from nlboxes import games
+from nlboxes.wiring import MAX_XOR_COPIES
 
 TOL = 1e-9
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -112,3 +115,58 @@ def test_strategy_validation():
     )
     with pytest.raises(nb.SignalingBoxError):
         nb.and_game_success(nb.AndGameStrategy(box))
+
+
+def _dusty_vertices(rng) -> list[nb.Box]:
+    # One zero per row becomes dust in [-TOL, 0): rows and marginals stay within TOL.
+    out = []
+    for vertex in ns_vertices():
+        m = np.array(vertex.matrix)
+        for row in m:
+            row[rng.choice(np.flatnonzero(row == 0.0))] = rng.uniform(-TOL, 0.0)
+        out.append(nb.Box(m))
+    return out
+
+
+def test_gathered_sum_matches_the_enumeration_bit_for_bit(rng):
+    corpus = [nb.pr(), nb.noise()]
+    corpus += [nb.p_eps(eps) for eps in (0.05, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.7, 0.9, 1.0)]
+    corpus += [nb.isotropic(eta) for eta in (0.0, 0.3, 0.5, 0.6, INV_SQRT2, 0.8, 0.9, 1.0)]
+    corpus += [random_ns_box(rng) for _ in range(30)]
+    corpus += [nb.Box(np.where(v.matrix == 0.0, -0.0, v.matrix)) for v in ns_vertices()]
+    corpus += _dusty_vertices(rng)
+    assert any(np.signbit(box.matrix).any() for box in corpus)
+    for box in corpus:
+        for m in range(1, MAX_XOR_COPIES + 1):
+            played = games._played_box(nb.AndGameStrategy(box, m), TOL)
+            expected = games._win_probability(played)
+            assert float.hex(nb.play_and_game(box, m, TOL).success) == float.hex(expected), (box, m)
+
+
+def test_gathered_sum_matches_the_enumeration_on_any_table(rng):
+    # Not boxes: a table of -0.0, and signed entries whose magnitudes span
+    # 1e-170 to 1e149, so that some products underflow to signed zeros.
+    tables = [np.full((4, 4), -0.0)]
+    tables += [rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-170, 150, (4, 4)) for _ in range(200)]
+    for table in tables:
+        box = nb.Box(table)
+        expected = games._win_probability(box)
+        assert float.hex(games._gathered_win_probability(box)) == float.hex(expected)
+
+
+def test_winning_cells_are_128_distinct_pairs():
+    cells = list(zip(games._WIN_I.tolist(), games._WIN_J.tolist()))
+    assert len(cells) == len(set(cells)) == 128
+    assert all(0 <= i < 16 and 0 <= j < 16 for i, j in cells)
+
+
+def test_play_and_game_never_runs_the_enumeration(monkeypatch):
+    expected = nb.play_and_game(nb.p_eps(0.3), m=4)
+
+    def enumeration(box):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(games, "_win_probability", enumeration)
+    assert nb.play_and_game(nb.p_eps(0.3), m=4) == expected
+    with pytest.raises(AssertionError, match="^enumerated$"):
+        nb.and_game_success(nb.AndGameStrategy(nb.p_eps(0.3), 4))
