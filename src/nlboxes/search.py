@@ -46,28 +46,35 @@ S = X00 + X01 + X10 - X11 is scanned, and it separates by party input:
     S(s, t) = (s0 + s1) R t0 + (s0 - s1) R t1,  s_x = signed_s[x], t_y = signed_t[y].
 
 Let V_o be the halves of the codes with order bit o, 66 for each o and the
-same at both inputs (flipping the input keeps the order bit). The halves
-are numbered V_0 only (16), shared (50), V_1 only (16), so V_0 and V_1 are
-the slices [0:66] and [16:82]. The classes' pairs (signed[0], signed[1])
-are exactly V_0 x V_0 together with V_1 x V_1. With G = halves R^T
-(82 x 9) and an Alice class's columns u = s0 + s1 and w = s0 - s1,
-plus = G u and minus = G w hold the two terms against every half, and
-S(s, t) = plus[t0] + minus[t1]. Its largest value over all Bob classes is
-the larger over o of max plus[V_o] + max minus[V_o]: rounded addition is
-monotone, so over a product set the maximum of the sums is the sum of the
-maxima, bit for bit. plus depends on an Alice class only through u, and
-minus only through w, and the scanned Alice classes share columns: 797
-classes have 578 distinct u and 499 distinct w. The scan builds those
-distinct columns once per process, takes G c as one matrix product per
-block of distinct columns, and keeps each column's two maxima over the
-contiguous row slices V_0 and V_1; an Alice row's maximum is gathered from
-the maxima of its u and w columns. For the winning row it reads plus and
-minus out of the same block products and adds plus[h0] + minus[h1] over
-all 82 x 82 pairs of halves (half at input 0, half at input 1). A table of
-those pairs names the Bob class of each of the 6212 pairs that are
-classes; the largest sum among them is the row maximum bit for bit, so
-the row's tie set is never empty. The scan covers every Bob class, but
-only some Alice classes:
+same at both inputs (flipping the input keeps the order bit). Flipping a
+code's final bit on both inputs negates its halves and keeps its order bit,
+and no half is zero, so the halves form 41 pairs {h, -h} and each V_o is
+closed under negation. The halves are numbered so that half h + 41 is
+-(half h), and the first 41 run V_0 only (8), shared (25), V_1 only (8):
+V_o is the pairs of the slice [0:33] for o = 0 and [8:41] for o = 1. The
+classes' pairs (signed[0], signed[1]) are exactly V_0 x V_0 together with
+V_1 x V_1. With G = halves[:41] R^T (41 x 9) and an Alice class's columns
+u = s0 + s1 and w = s0 - s1, plus = (G u, -G u) and minus = (G w, -G w)
+hold the two terms against every half, and S(s, t) = plus[t0] + minus[t1].
+Its largest value over all Bob classes is the larger over o of
+max plus[V_o] + max minus[V_o]: rounded addition is monotone, so over a
+product set the maximum of the sums is the sum of the maxima, bit for bit.
+Negation and abs are exact, so max plus[V_o] is the largest |G u| over the
+slice of V_o, and it is the same for -u. plus depends on an Alice class only
+through u up to sign, and minus only through w up to sign, and the scanned
+Alice classes share columns: 797 classes have 578 distinct u and 420
+distinct w up to sign (499 w before: 79 +- pairs and the zero column). The
+scan builds those 998 columns once per process, in one array with u first,
+takes G c as one matrix product per block of 333 of them, and keeps each
+column's two maxima of |G c| over the slices of V_0 and V_1; an Alice row's
+maximum is gathered from the maxima of its u and w columns. For the winning
+row it reads G u and G w out of the same block products, extends each over
+the 82 halves as (p, -p) times the row's sign over its column, and adds
+plus[h0] + minus[h1] over all 82 x 82 pairs of halves (half at input 0,
+half at input 1). A table of those pairs names the Bob class of each of the
+6212 pairs that are classes; the largest sum among them is the row maximum
+bit for bit, so the row's tie set is never empty. The scan covers every Bob
+class, but only some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -121,12 +128,15 @@ class _Dedup:
     rep_codes: np.ndarray  # class id -> smallest encoding, ascending
     class_of_code: np.ndarray  # raw code -> class id
     # The distinct signed halves, exact integers held as floats for the scan's
-    # products: those of order bit 0 only, then those of both, then those of
-    # order bit 1 only.
+    # products: one half of each +- pair, those of order bit 0 only, then
+    # those of both, then those of order bit 1 only; then their negations in
+    # the same order.
     halves: np.ndarray
     half_of: np.ndarray  # (class id, party input) -> row of halves
     signed: np.ndarray  # halves[half_of]: (class id, party input, 9)
-    in_order: tuple[slice, slice]  # order bit o -> the rows V_o of halves
+    # Order bit o -> the rows of the first half of halves whose +- pairs make
+    # up V_o, the halves of the codes with that order bit.
+    in_order: tuple[slice, slice]
     # The scalar lookup raw code -> class id as a flat uint16 table: Python
     # indexes it in about a fifth of the time that a numpy scalar lookup takes.
     class_table: array
@@ -145,13 +155,21 @@ def _dedup() -> _Dedup:
             blocks[i, final, 2 * a1 + x1, 2 * a2 + x2] = 1
     keys = np.ascontiguousarray(_NS_BASIS.T @ blocks @ _NS_BASIS).reshape(-1, 18)
     _, first, key_of = np.unique(keys.view(np.dtype((np.void, 18))).ravel(), return_index=True, return_inverse=True)
-    # Renumber the halves V_0 only, shared, V_1 only, so that V_0 is a head
-    # and V_1 a tail of the rows. The order bit is a code's top bit.
     in_v = np.zeros((2, len(first)), dtype=bool)
     in_v[input0_codes >> 14, key_of] = True
-    order = np.argsort(in_v[1].astype(np.int8) - in_v[0], kind="stable")
-    by_final = keys[first[order]].reshape(-1, 2, 9)
-    halves = (by_final[:, 0] - by_final[:, 1]).astype(float)
+    by_final = keys[first].reshape(-1, 2, 9)
+    signed = by_final[:, 0] - by_final[:, 1]
+    # Flipping a code's final bit on both inputs negates its half and keeps
+    # its order bit, and no half is zero, so the halves form +- pairs. Keep
+    # the first half of each pair, numbered V_0 only, shared, V_1 only, so
+    # that each V_o's kept halves are a slice; then the negations, in the
+    # same order, so that half h + 41 is -(half h). The order bit is a code's
+    # top bit.
+    negation = (signed[:, None] == -signed[None]).all(axis=2).argmax(axis=1)
+    kept = np.flatnonzero(np.arange(len(first)) < negation)
+    kept = kept[np.argsort(in_v[1, kept].astype(np.int8) - in_v[0, kept], kind="stable")]
+    order = np.concatenate([kept, negation[kept]])
+    halves = signed[order].astype(float)
     # A code's half at input 1 is the input-0 half of its input-flipped code.
     input0_half = np.argsort(order)[key_of]
     flipped = _relabel_codes(codes, 1, 0, 0)
@@ -170,7 +188,7 @@ def _dedup() -> _Dedup:
         halves=halves,
         half_of=half_of,
         signed=halves[half_of],
-        in_order=(slice(0, int(in_v[0].sum())), slice(len(halves) - int(in_v[1].sum()), len(halves))),
+        in_order=(slice(0, int(in_v[0, kept].sum())), slice(len(kept) - int(in_v[1, kept].sum()), len(kept))),
         # Through bytes: tolist() would box 32768 Python ints.
         class_table=array("H", class_of_code.astype(np.uint16).tobytes()),
     )
@@ -275,28 +293,37 @@ def _functional_rows(box: Box, signs: np.ndarray, alice_signed: np.ndarray) -> n
 
 
 def _half_functionals(box: Box) -> np.ndarray:
-    """G = halves R^T: row t of G times an Alice column u is u R halves[t]."""
-    return _dedup().halves @ _box_coordinates(box).T
+    """G = halves R^T over the first half of halves, one half of each +- pair:
+    row t of G times an Alice column u is u R halves[t]."""
+    halves = _dedup().halves
+    return halves[:len(halves) // 2] @ _box_coordinates(box).T
 
 
 @dataclass(frozen=True)
 class _Scan:
-    # The distinct columns u = s0 + s1 and w = s0 - s1 of the scanned Alice
-    # classes, (9, columns) each, s_x a class's signed half at party input x.
-    columns: tuple[np.ndarray, np.ndarray]
+    # The columns u = s0 + s1, then w = s0 - s1, of the scanned Alice classes,
+    # s_x a class's signed half at party input x: each side's distinct columns
+    # up to sign, in one (9, columns) array.
+    columns: np.ndarray
     column_of: np.ndarray  # (2, scanned Alice row) -> its u column, its w column
+    sign_of: np.ndarray  # (2, scanned Alice row) -> +-1.0: its u and w over those columns
     class_of_pair: np.ndarray  # (half at input 0, half at input 1) -> class id, or -1
 
 
-def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a small-integer (n, 9) array as contiguous
-    (9, distinct) columns, and each row's column. Rows are told apart by one
-    integer key each, their entries as digits: ``np.unique(axis=0)`` on the
-    797 rows takes about 2.8 ms, several times this whole set-up."""
+def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows up to sign of a small-integer (n, 9) array, as
+    (9, distinct) columns, with each row's column and sign: a row is its sign
+    times its column, and a column's first nonzero entry is positive. Rows
+    are told apart by one integer key each, their entries as digits:
+    ``np.unique(axis=0)`` on the 797 rows takes about 2.8 ms, several times
+    this whole set-up."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    sign = np.where(lead < 0, -1.0, 1.0)
+    rows = rows * sign[:, None]
     digits = (rows - rows.min()).astype(np.int64)
     keys = digits @ (int(digits.max()) + 1) ** np.arange(rows.shape[1])
     _, first, column_of = np.unique(keys, return_index=True, return_inverse=True)
-    return np.ascontiguousarray(rows[first].T), column_of
+    return rows[first].T, column_of, sign
 
 
 @lru_cache(maxsize=1)
@@ -305,23 +332,30 @@ def _scan() -> _Scan:
     stays as it is."""
     dedup = _dedup()
     signed = dedup.signed[_orbits().reps]
-    (u, u_of), (w, w_of) = map(_distinct_columns, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1]))
+    (u, u_of, u_sign), (w, w_of, w_sign) = map(
+        _distinct_columns, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
+    )
     class_of_pair = np.full((len(dedup.halves),) * 2, -1)
     class_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]] = np.arange(len(dedup.half_of))
-    return _Scan((u, w), np.stack([u_of, w_of]), class_of_pair)
+    return _Scan(
+        np.ascontiguousarray(np.hstack([u, w])),
+        np.stack([u_of, u.shape[1] + w_of]),
+        np.stack([u_sign, w_sign]),
+        class_of_pair,
+    )
 
 
-# Columns per block product. Each (82, columns) product, 130,544 B at 199
+# Columns per block product. Each (41, columns) product, 109,224 B at 333
 # columns, then stays under 128 KiB, glibc's default mmap threshold, so it
 # comes from the heap rather than from a fresh mapping; and only one block
 # product is live at once. With larger temporaries the heap top outgrew
 # glibc's trim threshold and each warm search faulted in about 95 fresh
-# pages.
-_ROW_BLOCK = 199
+# pages. The 998 scanned columns take three blocks.
+_ROW_BLOCK = 333
 
 
 def _block_product(g: np.ndarray, columns: np.ndarray, start: int) -> np.ndarray:
-    """G c for the block of columns from ``start``, (82, block). The column
+    """G c for the block of columns from ``start``, (41, block). The column
     maxima and the winning row's pair sums both read G c out of this
     product, so they agree bit for bit."""
     return g @ columns[:, start:start + _ROW_BLOCK]
@@ -329,11 +363,13 @@ def _block_product(g: np.ndarray, columns: np.ndarray, start: int) -> np.ndarray
 
 def _column_maxima(g: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """(2, columns): the largest entry of G c over the halves V_0 and over
-    V_1, for each column c."""
+    V_1, for each column c. Each V_o is closed under negation, so that is
+    the largest |G c| over V_o's kept halves; and it is the same for -c."""
     in_order = _dedup().in_order
     out = np.empty((2, columns.shape[1]))
     for start in range(0, columns.shape[1], _ROW_BLOCK):
         product = _block_product(g, columns, start)
+        np.abs(product, out=product)
         for o, v in enumerate(in_order):
             out[o, start:start + _ROW_BLOCK] = product[v].max(axis=0)
     return out
@@ -343,19 +379,22 @@ def _row_max(g: np.ndarray, scan: _Scan) -> np.ndarray:
     """Largest S of each scanned Alice row over all Bob classes, the larger
     over o of max plus[V_o] + max minus[V_o]; equal bit for bit to the
     largest of the row's ``_pair_values`` that are classes."""
-    plus, minus = (_column_maxima(g, c) for c in scan.columns)
+    maxima = _column_maxima(g, scan.columns)
     u, w = scan.column_of
-    return np.maximum(plus[0, u] + minus[0, w], plus[1, u] + minus[1, w])
+    return np.maximum(maxima[0, u] + maxima[0, w], maxima[1, u] + maxima[1, w])
 
 
 def _pair_values(g: np.ndarray, scan: _Scan, row: int) -> np.ndarray:
     """S of one scanned Alice row against every pair of halves (h0, h1),
     plus[h0] + minus[h1], (82, 82). The pairs with ``class_of_pair`` >= 0
-    are the Bob classes."""
-    plus, minus = (
-        _block_product(g, c, i - i % _ROW_BLOCK)[:, i % _ROW_BLOCK]
-        for c, i in zip(scan.columns, scan.column_of[:, row].tolist())
-    )
+    are the Bob classes. Half h + 41 is -(half h), so over all 82 halves a
+    row's plus is (p, -p) times its u sign, for p = G c of its u column c,
+    and minus likewise."""
+    terms = []
+    for i, sign in zip(scan.column_of[:, row].tolist(), scan.sign_of[:, row].tolist()):
+        p = _block_product(g, scan.columns, i - i % _ROW_BLOCK)[:, i % _ROW_BLOCK] * sign
+        terms.append(np.concatenate((p, -p)))
+    plus, minus = terms
     return plus[:, None] + minus
 
 
@@ -376,7 +415,7 @@ class SearchResult:
     # orbits and the scan's distinct Alice columns), which is most of the
     # ~12 ms kernel of a CLI search.
     kernel_s: float = 0.0
-    scan_s: float = 0.0  # block products and column maxima per block of distinct Alice columns, and the tie-break
+    scan_s: float = 0.0  # block products and column maxima per block of Alice columns distinct up to sign, and the tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
     alice_rows_scanned: int = 0
     pairs_scanned: int = 0  # pairs the row maxima cover: Alice rows x Bob classes

@@ -254,6 +254,19 @@ def compose_wiring2(box: Box, wiring: Wiring2, tol: float = DEFAULT_TOL) -> Box:
     Enumerates the 16 physical outcome tuples per input pair; each tuple
     fixes both parties' adaptive paths, hence the inputs every copy saw,
     and contributes the product of the two copy probabilities.
+
+    The input is checked at ``tol``; the composite is checked against its
+    derivation bound ``_composite_tol(tol)``, 12 tol (1 + 10 tol) plus
+    64 ulp(1) of rounding. A composite row sums products of two input rows,
+    so an input within ``tol`` of a no-signaling box gives a composite within
+    a multiple of ``tol`` of one. Split each party's marginal into its mean
+    over the other party's input plus a deviation of at most tol / 2, and
+    each entry into positive and negative parts (row masses at most 1 + 4 tol
+    and 3 tol). Then a composite row sum is within 3 tol (1 + 7 tol) of 1,
+    its marginals within 4 tol (1 + 7 tol) of each other, and its entries
+    within 11 tol (1 + 10 tol) of [0, 1]. Zeroing the entries in [-tol, 0)
+    moves a row sum by at most 4 tol more and a marginal by 2 tol. At ``tol``
+    0 only rounding is left.
     """
     require_non_signaling(box, tol)
     return _compose_wiring2(box, wiring, tol)
@@ -276,9 +289,15 @@ def _trace_offsets(strategy: AdaptiveStrategy, scale: int) -> list[list[tuple[in
     ]
 
 
+def _composite_tol(tol: float) -> float:
+    """The tolerance a two-copy composite is checked at, for an input checked
+    at ``tol``: the bound derived in ``compose_wiring2``, plus rounding."""
+    return 12.0 * tol * (1.0 + 10.0 * tol) + 64 * 2.0**-52
+
+
 def _compose_wiring2(box: Box, wiring: Wiring2, tol: float) -> Box:
-    """``compose_wiring2`` of a box the caller has already checked; the
-    composite is still checked."""
+    """``compose_wiring2`` of a box the caller has already checked at ``tol``;
+    the composite is still checked, at ``_composite_tol(tol)``."""
     # Python floats: the same products, added in the same order, as numpy
     # float64 scalars, without their per-operation overhead.
     m = box.matrix.tolist()
@@ -292,7 +311,7 @@ def _compose_wiring2(box: Box, wiring: Wiring2, tol: float) -> Box:
             for yb1, b1, yb2, b2, b in bob[y]:
                 row[a + b] += m[xa1 + yb1][a1 + b1] * m[xa2 + yb2][a2 + b2]
     result = Box(_clean(out, tol))
-    check = is_non_signaling(result, tol)
+    check = is_non_signaling(result, _composite_tol(tol))
     if not check.ok:
         raise AssertionError(
             f"wiring produced a signaling box (residual {check.residual:.3g}); "

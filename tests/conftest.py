@@ -98,3 +98,22 @@ def assert_boxes_close(b1: Box, b2: Box, tol: float = 1e-12) -> None:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240831)
+
+
+# Boxes that pass every input check at tol 0, on which a search at tol 0 once
+# failed its own composite check: the first composite is off by 5.55e-17 in
+# a marginal, the second by 1.11e-16 in a row sum.
+TOL_0_BOXES = [
+    [
+        [0.3582595250136451, 0, 0, 0.6417404749863549],
+        [0.3582595250136451, 0, 0.2834809499727098, 0.3582595250136451],
+        [0.3582595250136451, 0, 0, 0.6417404749863549],
+        [0, 0.3582595250136451, 0.6417404749863549, 0],
+    ],
+    [
+        [0.48006963695032867, 0, 0, 0.5199303630496713],
+        [0.48006963695032867, 0, 0.03986072609934266, 0.48006963695032867],
+        [0.48006963695032867, 0, 0, 0.5199303630496713],
+        [0, 0.48006963695032867, 0.5199303630496713, 0],
+    ],
+]

@@ -16,6 +16,7 @@ import pytest
 import nlboxes as nb
 from nlboxes import boxes, cli
 from nlboxes.cli import run
+from conftest import TOL_0_BOXES
 
 
 @pytest.fixture
@@ -329,3 +330,23 @@ def test_box_file_without_a_box_exits_two_with_one_line(command, text, message, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"bad box file {path}: {message}\n"
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["marginal", "row_sum"])
+def test_search_at_tol_0_exits_zero_on_a_box_validate_accepts(index, tmp_path, capsys):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"matrix": TOL_0_BOXES[index]}))
+    assert run(["validate", str(path), "--tol", "0"]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    wirings = []
+    for tol in (["--tol", "0"], []):
+        done = subprocess.run([sys.executable, "-m", "nlboxes", "search", str(path), *tol],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        wirings.append(json.loads(done.stdout)["wiring"])
+    assert wirings[0] == wirings[1]
+    # A box two tol off still exits 1, at the input check.
+    path.write_text(json.dumps({"matrix": (np.array(TOL_0_BOXES[index]) * (1 + 2e-9)).tolist()}))
+    assert run(["search", str(path)]) == 1
+    assert "row sum != 1" in capsys.readouterr().err

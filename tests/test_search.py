@@ -18,7 +18,7 @@ import nlboxes as nb
 from nlboxes import search
 from nlboxes.search import pair_nl_values
 from nlboxes.symmetry import Relabeling, chsh_stabilizer
-from conftest import box_from_correlators, deterministic_vertices, ns_vertices, pr_variant, random_ns_box
+from conftest import TOL_0_BOXES, box_from_correlators, deterministic_vertices, ns_vertices, pr_variant, random_ns_box
 
 TOL = 1e-9
 
@@ -256,17 +256,22 @@ def test_search_results_are_deterministic():
 def test_signed_halves_split_by_order_bit():
     # The classes' pairs of halves are V_0 x V_0 together with V_1 x V_1,
     # 2 * 66**2 - 50**2 = 6212 of them, so the scan's row maxima cover
-    # exactly the Bob classes. The halves are numbered V_0 only, shared,
-    # V_1 only, so each V_o is a slice.
+    # exactly the Bob classes. No half is zero, and half h + 41 is -(half h).
+    # The first 41 are numbered V_0 only, shared, V_1 only, so each V_o is
+    # closed under negation and its kept halves are the slice [0:33] or [8:41].
     dedup = search._dedup()
     assert dedup.halves.shape == (82, 9)
     assert len({tuple(h) for h in dedup.halves.tolist()}) == 82
+    assert np.all(np.any(dedup.halves != 0, axis=1))
+    assert np.array_equal(dedup.halves[41:], -dedup.halves[:41])
     assert np.array_equal(dedup.halves[dedup.half_of], dedup.signed)
-    assert dedup.in_order == (slice(0, 66), slice(16, 82))
-    v0, v1 = set(range(66)), set(range(16, 82))
+    assert dedup.in_order == (slice(0, 33), slice(8, 41))
+    v0, v1 = set(range(33)) | set(range(41, 74)), set(range(8, 41)) | set(range(49, 82))
     for order, v in enumerate((v0, v1)):
         codes = np.arange(order << 14, (order + 1) << 14)
         assert set(dedup.half_of[dedup.class_of_code[codes]].ravel().tolist()) == v
+        assert {(h + 41) % 82 for h in v} == v
+        assert set(range(82)[dedup.in_order[order]]) == {h for h in v if h < 41}
     pairs = {tuple(p) for p in dedup.half_of.tolist()}
     assert len(pairs) == 6212
     assert pairs == set(product(v0, v0)) | set(product(v1, v1))
@@ -279,15 +284,21 @@ def test_signed_halves_split_by_order_bit():
 
 def test_scan_columns_are_the_distinct_alice_columns():
     # The 797 scanned Alice rows share 578 distinct u = s0 + s1 and 499
-    # distinct w = s0 - s1, and each row points at its own two columns.
+    # distinct w = s0 - s1. Up to sign the w are 420: 79 +- pairs and the
+    # zero column. The scan keeps the u columns, then the w columns, and each
+    # row points at its own two columns with its sign over each.
     dedup, scan = search._dedup(), search._scan()
     signed = dedup.signed[search._orbits().reps]
-    for columns, column_of, rows, count in zip(
-        scan.columns, scan.column_of, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1]), (578, 499)
-    ):
-        assert columns.shape == (9, count) and columns.flags.c_contiguous
-        assert len({tuple(c) for c in columns.T.tolist()}) == count
-        assert np.array_equal(columns[:, column_of].T, rows)
+    sides = (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
+    assert [len({tuple(r) for r in rows.tolist()}) for rows in sides] == [578, 499]
+    assert scan.columns.shape == (9, 998) and scan.columns.flags.c_contiguous
+    for rows, column_of, sign, span in zip(sides, scan.column_of, scan.sign_of, (range(578), range(578, 998))):
+        columns = scan.columns[:, span.start:span.stop].T.tolist()
+        assert len(set(map(tuple, columns))) == len(span)
+        assert all(next(v for v in c if v) > 0 for c in columns if any(c))  # one sign of each +- pair
+        assert set(column_of.tolist()) == set(span)
+        assert set(sign.tolist()) <= {-1.0, 1.0}
+        assert np.array_equal(scan.columns[:, column_of].T * sign[:, None], rows)
 
 
 def test_signed_halves_match_trace():
@@ -461,8 +472,8 @@ def test_separable_rows_match_the_18_coordinate_rows(box):
     row_max = search._row_max(g, scan)
     s_rows = search._functional_rows(box, search._CHSH_SIGNS[0], dedup.signed[reps]) @ dedup.signed.reshape(-1, 18).T
     assert np.max(np.abs(row_max - s_rows.max(axis=1))) <= 1e-13
-    # Every row, so every distinct column and every block edge of both sets.
-    assert len(reps) == 797 and search._ROW_BLOCK == 199
+    # Every row, so every distinct column, both signs and every block edge.
+    assert len(reps) == 797 and search._ROW_BLOCK == 333
     is_class = scan.class_of_pair >= 0
     classes = scan.class_of_pair[is_class]
     for row in range(len(reps)):
@@ -471,28 +482,39 @@ def test_separable_rows_match_the_18_coordinate_rows(box):
         assert values.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
 
 
-@pytest.mark.parametrize("count", [1, search._ROW_BLOCK, search._ROW_BLOCK + 1, 3 * search._ROW_BLOCK + 5])
+# The block edges of the block size, and the counts 199, 200 and 602 that were
+# the edges of an earlier block size of 199.
+@pytest.mark.parametrize(
+    "count", [1, 199, 200, 602, search._ROW_BLOCK, search._ROW_BLOCK + 1, 3 * search._ROW_BLOCK + 5]
+)
 def test_blocked_row_max_matches_unblocked(count):
     # Columns in any order and count, across block boundaries: each block
     # must land on its own entries of the column maxima.
     dedup = search._dedup()
     alice = np.random.default_rng(count).permutation(len(dedup.rep_codes))[:count]
-    g = search._half_functionals(_nonlocal_random_box(2))
+    box = _nonlocal_random_box(2)
+    g, g_all, v_all = search._half_functionals(box), _all_half_functionals(box), _order_rows()
     signed = dedup.signed[alice]
     sides = (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
     for rows in sides:
         columns = np.ascontiguousarray(rows.T)
         blocks = np.hstack([search._block_product(g, columns, start) for start in range(0, count, search._ROW_BLOCK)])
-        assert np.array_equal(search._column_maxima(g, columns), [blocks[v].max(axis=0) for v in dedup.in_order])
+        maxima = search._column_maxima(g, columns)
+        assert np.array_equal(maxima, [np.abs(blocks[v]).max(axis=0) for v in dedup.in_order])
         # One product over all columns: a BLAS kernel may round its edge
         # columns differently, so only to 1e-13.
         assert np.max(np.abs(blocks - g @ columns)) <= 1e-13
-    # Row maxima gathered from these classes' distinct columns, against the
-    # same maxima taken over each class's own columns in one product.
-    (u, u_of), (w, w_of) = map(search._distinct_columns, sides)
-    scan = search._Scan((u, w), np.stack([u_of, w_of]), search._scan().class_of_pair)
-    plus, minus = (g @ rows.T for rows in sides)
-    unblocked = np.max([plus[v].max(axis=0) + minus[v].max(axis=0) for v in dedup.in_order], axis=0)
+        # The maxima over all of each V_o, negations included, and for -c too.
+        for c in (columns, -columns):
+            assert np.max(np.abs(maxima - [(g_all @ c)[v].max(axis=0) for v in v_all])) <= 1e-13
+    # Row maxima gathered from these classes' distinct columns up to sign,
+    # against the same maxima over all 82 halves and each class's own columns.
+    (u, u_of, u_sign), (w, w_of, w_sign) = map(search._distinct_columns, sides)
+    scan = search._Scan(
+        np.hstack([u, w]), np.stack([u_of, u.shape[1] + w_of]), np.stack([u_sign, w_sign]), search._scan().class_of_pair
+    )
+    plus, minus = (g_all @ rows.T for rows in sides)
+    unblocked = np.max([plus[v].max(axis=0) + minus[v].max(axis=0) for v in v_all], axis=0)
     assert np.max(np.abs(search._row_max(g, scan) - unblocked)) <= 1e-13
 
 
@@ -503,15 +525,26 @@ def _kron_coordinates(box: nb.Box) -> np.ndarray:
     return np.kron(q, q)
 
 
-def _bob_row(g: np.ndarray, row: int) -> np.ndarray:
+def _all_half_functionals(box: nb.Box) -> np.ndarray:
+    """G over all 82 halves, negations included: (82, 9)."""
+    return search._dedup().halves @ _kron_coordinates(box).T
+
+
+def _order_rows() -> list[np.ndarray]:
+    """V_o over all 82 halves, read off the codes with order bit o rather
+    than off the scan's slices."""
+    dedup = search._dedup()
+    return [np.unique(dedup.half_of[dedup.class_of_code[np.arange(o << 14, (o + 1) << 14)]]) for o in (0, 1)]
+
+
+def _bob_row(box: nb.Box, row: int) -> np.ndarray:
     """The scan's tie-break before the table of half pairs: S of one scanned
     Alice row against every Bob class, in class order, gathered per class
-    out of a block product over the scanned rows' own columns."""
+    out of the product of G over all 82 halves with the row's own columns."""
     dedup, reps = search._dedup(), search._orbits().reps
-    start = row - row % search._ROW_BLOCK
-    signed = dedup.signed[reps[start:start + search._ROW_BLOCK]]
-    plus, minus = g @ (signed[:, 0] + signed[:, 1]).T, g @ (signed[:, 0] - signed[:, 1]).T
-    return plus[dedup.half_of[:, 0], row - start] + minus[dedup.half_of[:, 1], row - start]
+    s0, s1 = dedup.signed[reps[row]]
+    g_all = _all_half_functionals(box)
+    return (g_all @ (s0 + s1))[dedup.half_of[:, 0]] + (g_all @ (s0 - s1))[dedup.half_of[:, 1]]
 
 
 def _oracle_scan(box: nb.Box) -> tuple[np.ndarray, tuple[int, int]]:
@@ -523,7 +556,7 @@ def _oracle_scan(box: nb.Box) -> tuple[np.ndarray, tuple[int, int]]:
     h = dedup.halves @ _kron_coordinates(box) @ dedup.halves.T
     s0, s1 = dedup.half_of[orbits.reps].T
     plus, minus = h[s0] + h[s1], h[s0] - h[s1]
-    row_max = np.max([plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in dedup.in_order], axis=0)
+    row_max = np.max([plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in _order_rows()], axis=0)
     near = row_max.max() - search._NEAR_MAX
     row = int(np.argmax(row_max >= near))
     bob = plus[row][dedup.half_of[:, 0]] + minus[row][dedup.half_of[:, 1]]
@@ -608,7 +641,7 @@ def test_block_product_scan_matches_the_h_gather_oracle():
         near = row_max.max() - search._NEAR_MAX
         row = int(np.argmax(row_max >= near))
         values = search._pair_values(g, scan, row)
-        gathered = _bob_row(g, row)
+        gathered = _bob_row(box, row)
         assert np.max(np.abs(values[is_class] - gathered[scan.class_of_pair[is_class]])) <= 1e-13, kind
         tied = scan.class_of_pair[(values >= near) & is_class]
         assert np.array_equal(np.sort(tied), np.flatnonzero(gathered >= near)), kind
@@ -664,3 +697,44 @@ def test_search_rejects_signaling_box():
     )
     with pytest.raises(nb.SignalingBoxError):
         nb.search_2copy(box)
+
+
+@pytest.mark.parametrize("matrix", TOL_0_BOXES, ids=["marginal", "row_sum"])
+def test_search_at_tol_0_runs_on_a_box_accepted_at_tol_0(matrix):
+    box = nb.Box(matrix)
+    assert nb.validate(box, 0.0).ok and nb.is_non_signaling(box, 0.0).ok
+    at_zero = nb.search_2copy(box, tol=0.0)
+    assert at_zero.wiring == nb.search_2copy(box).wiring
+    assert at_zero.nl_out == nb.search_2copy(box).nl_out
+
+
+def test_search_at_tol_0_never_raises_on_an_accepted_box():
+    # Mixtures of two or three no-signaling vertices; about 60 % of them pass
+    # the input checks at tol 0, and the search used to fail on 46 % of those.
+    vertices = [v.matrix for v in ns_vertices()]
+    rng = np.random.default_rng(2323)
+    accepted = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 4))
+        picks = rng.choice(len(vertices), size=k, replace=False)
+        box = nb.Box(np.tensordot(rng.dirichlet(np.ones(k)), [vertices[i] for i in picks], axes=1))
+        if nb.validate(box, 0.0).ok and nb.is_non_signaling(box, 0.0).ok:
+            accepted += 1
+            # A wiring that outputs the first copy reproduces the box.
+            assert nb.search_2copy(box, tol=0.0).nl_out >= nb.nl(box, 0.0) - 1e-12
+    assert accepted >= 150
+
+
+def test_search_composite_check_covers_a_scaled_box():
+    # Row sums 1 + 0.9e-9 pass the input check, and the composite's are
+    # (1 + 0.9e-9)**2, off by 1.8e-9: past tol, inside the composite's bound.
+    box = nb.Box(nb.isotropic(0.8).matrix * (1 + 0.9e-9))
+    assert nb.validate(box).ok and nb.is_non_signaling(box).ok
+    assert nb.search_2copy(box).wiring == nb.search_2copy(nb.isotropic(0.8)).wiring
+
+
+@pytest.mark.parametrize("matrix", [nb.isotropic(0.8).matrix, *TOL_0_BOXES], ids=["isotropic", "marginal", "row_sum"])
+def test_search_still_rejects_a_box_two_tol_off(matrix):
+    # The input check keeps tol: only the composite's check widens.
+    with pytest.raises(nb.InvalidBoxError, match="row sum != 1"):
+        nb.search_2copy(nb.Box(np.asarray(matrix) * (1 + 2 * TOL)))

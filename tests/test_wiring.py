@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import nlboxes as nb
 from nlboxes.boxes import _clean
+from nlboxes import wiring as wiring_module
 from nlboxes.wiring import _compose_xor, _xor_powers
 from conftest import (
     assert_boxes_close,
@@ -326,3 +327,32 @@ def test_wiring_closure_hypothesis(code_a, code_b, eta):
     assert nb.validate(composed).ok
     assert nb.is_non_signaling(composed).ok
     assert nb.nl(composed) <= 4.0 + TOL
+
+
+# A deterministic vertex moved by 0.99 tol along directions that a linear
+# program found to push one wiring's composite furthest: every input check
+# passes at tol, and the composite lands 5.94 tol above 1 in one entry and
+# 2.97 tol off in a marginal. A check of the composite at 2 tol would fail.
+_VERTEX = [[0, 0, 1, 0], [0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
+_PUSHES = {
+    "entry": [[0, 0, 1, -1], [2, -1, 1, -1], [1, -1, -1, 1], [1, -1, 2, -1]],
+    "marginal": [[0, -1, 1, -1], [-1, 1, 1, 0], [1, -1, -1, 0], [1, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_composite_check_holds_on_a_box_only_within_tol(tol):
+    wiring = nb.Wiring2(nb.AdaptiveStrategy.decode(9494), nb.AdaptiveStrategy.decode(10387))
+    worst = {}
+    for name, push in _PUSHES.items():
+        box = nb.Box(np.array(_VERTEX, dtype=float) + 0.99 * tol * np.array(push, dtype=float))
+        assert nb.validate(box, tol).ok and nb.is_non_signaling(box, tol).ok
+        composite = nb.compose_wiring2(box, wiring, tol).matrix
+        worst[name] = max(composite.max() - 1.0, nb.is_non_signaling(nb.Box(composite), 1.0).residual)
+    assert worst["entry"] > 5.9 * tol and worst["marginal"] > 2.9 * tol
+    assert max(worst.values()) <= wiring_module._composite_tol(tol)
+
+
+def test_composite_tol_is_rounding_at_tol_0():
+    assert wiring_module._composite_tol(0.0) == 64 * 2.0**-52
+    assert wiring_module._composite_tol(1e-9) == pytest.approx(12e-9, rel=1e-6)
