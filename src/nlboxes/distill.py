@@ -312,9 +312,11 @@ def optimize_quantum_distillation(
     assertion, never the search. Raises
     ``InfeasibleRegionError`` when no evaluated point satisfies the
     constraints (at delta = 0, for instance), and ``ValueError`` before any
-    evaluation unless ``n_max`` is in 2..``MAX_OPTIMIZE_N``, ``fixed_delta``
-    is None or in [0, 1], and ``tol`` is finite and >= 0.
+    evaluation unless ``n_max`` is an int in 2..``MAX_OPTIMIZE_N``,
+    ``fixed_delta`` is None or in [0, 1], and ``tol`` is finite and >= 0.
     """
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if not 2 <= n_max <= MAX_OPTIMIZE_N:
         raise ValueError(f"n_max must be in 2..{MAX_OPTIMIZE_N}, got {n_max}")
     check_tol(tol)

@@ -285,6 +285,10 @@ def test_optimizer_argument_errors():
         {"tol": -1e-9},
         {"tol": math.inf},
         {"n_max": 1001},  # MAX_OPTIMIZE_N + 1
+        {"n_max": 2.5},
+        {"n_max": 20.0},
+        {"n_max": "3"},
+        {"n_max": True},
     ],
 )
 def test_optimizer_rejects_bad_steps_before_any_grid(kwargs, monkeypatch):
@@ -340,6 +344,16 @@ def test_default_optimizer_reaches_ceiling_exactly():
     d = 1.0 - 2.0 * opt.delta
     _, slack = nb.is_quantum_correlators(nb.Correlators(d, d, d, 1.0 - 2.0 * opt.eps), 0.0)
     assert slack <= 0.0
+
+
+def test_default_optimizer_is_near_the_closed_form_point():
+    # The optimum is the peak of 3*d**2 - e**2 on the quantum boundary d = sin(theta),
+    # e = -sin(3*theta): theta = 3*pi/8, so delta = sin(pi/16)**2 and e = sin(pi/8).
+    # The delta grid stops at spacing 1e-9, and its best point is 7.4e-10 away.
+    opt = nb.optimize_quantum_distillation()
+    assert opt.n == 2
+    assert abs(opt.delta - math.sin(math.pi / 16.0) ** 2) <= 1e-9
+    assert abs(opt.eps - (1.0 - math.sin(math.pi / 8.0)) / 2.0) <= 1e-8
 
 
 def _bound_delta_grid() -> np.ndarray:
