@@ -134,6 +134,8 @@ class FamilyParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_number(self.eps, "eps")
+        _check_number(self.delta, "delta")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
         if not 0.0 <= self.delta <= 1.0:
@@ -172,9 +174,27 @@ class NonSignalingCheck(NamedTuple):
     residual: float
 
 
+# The types a numeric parameter may have: Python and numpy ints and floats.
+# bool is an int subclass, so the checks exclude it by name.
+_NUMBER_TYPES = (float, int, np.floating, np.integer)
+
+
+def _check_number(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int or float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _is_bit(value) -> bool:
+    """An int 0 or 1, Python or numpy, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in (0, 1)
+
+
 def check_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite non-negative number."""
-    if not 0.0 <= tol < math.inf:
+    """Raise ``ValueError`` unless ``tol`` is a finite non-negative number,
+    a Python or numpy int or float and not a bool. Plain type checks: every
+    ``validate`` runs this."""
+    if isinstance(tol, bool) or not isinstance(tol, _NUMBER_TYPES) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
@@ -360,6 +380,7 @@ def p_eps_delta(eps: float, delta: float = 0.0) -> Box:
 
 def isotropic(eta: float) -> Box:
     """Mixture eta * PR + (1 - eta) * noise; correlators (eta, eta, eta, -eta)."""
+    _check_number(eta, "eta")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     return mix(pr(), noise(), eta)
@@ -369,10 +390,10 @@ def deterministic(fa: Sequence[int], fb: Sequence[int]) -> Box:
     """Local deterministic box a = fa[x], b = fb[y].
 
     ``fa`` and ``fb`` are length-2 truth tables indexed by the input bit.
+    Each entry must be an int 0 or 1, not a bool; ``ValueError`` otherwise.
     """
-    fa = tuple(int(v) for v in fa)
-    fb = tuple(int(v) for v in fb)
-    if len(fa) != 2 or len(fb) != 2 or any(v not in (0, 1) for v in fa + fb):
+    fa, fb = tuple(fa), tuple(fb)
+    if len(fa) != 2 or len(fb) != 2 or not all(map(_is_bit, fa + fb)):
         raise ValueError("fa and fb must each be two bits")
     m = np.zeros((4, 4))
     for x in (0, 1):
@@ -383,6 +404,7 @@ def deterministic(fa: Sequence[int], fb: Sequence[int]) -> Box:
 
 def mix(box1: Box, box2: Box, lam: float, tol: float = DEFAULT_TOL) -> Box:
     """Convex mixture lam * box1 + (1 - lam) * box2."""
+    _check_number(lam, "lam")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
     return Box(_clean(lam * box1.matrix + (1.0 - lam) * box2.matrix, tol))

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a box fails validation or the
-non-signaling check, 2 on usage errors including unreadable or malformed
-box files.
+non-signaling check or ``optimize`` finds no feasible point, 2 on usage
+errors including unreadable or malformed box files. A subcommand reports a
+usage error by raising ``ValueError``; ``run`` prints its message as the
+one stderr line.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ from .boxes import (
 from .wiring import MAX_XOR_COPIES
 
 
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _tol(text: str) -> float:
     try:
         value = float(text)
@@ -60,7 +56,7 @@ def _parse_range(text: str) -> range:
         n = int(text)
         return range(n, n + 1)
     except ValueError:
-        raise _CliFailure(2, f"bad range {text!r}; expected N or LO..HI")
+        raise ValueError(f"bad range {text!r}; expected N or LO..HI")
 
 
 def _cmd_validate(args) -> int:
@@ -102,17 +98,17 @@ def _cmd_quantum(args) -> int:
     if args.correlators is not None:
         parts = args.correlators.split(",")
         if len(parts) != 4:
-            raise _CliFailure(2, "--correlators needs four comma-separated values")
+            raise ValueError("--correlators needs four comma-separated values")
         try:
             c = Correlators(*(float(p) for p in parts))
             ok, slack = quantum.is_quantum_correlators(c, args.tol)
         except ValueError as exc:
-            raise _CliFailure(2, f"bad correlator values {args.correlators!r}: {exc}")
+            raise ValueError(f"bad correlator values {args.correlators!r}: {exc}")
         tsi = quantum.tsirelson_check(c, args.tol)
         flagged = False
     else:
         if args.box is None:
-            raise _CliFailure(2, "quantum needs a box file or --correlators")
+            raise ValueError("quantum needs a box file or --correlators")
         box = load_box(args.box)
         verdict = quantum.is_quantum_box(box, args.tol)
         ok, slack, flagged = verdict.quantum, verdict.slack, verdict.correlator_level_only
@@ -147,10 +143,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        opt = distill.optimize_quantum_distillation(n_max=args.n_max, tol=args.tol)
-    except distill.InfeasibleRegionError as exc:
-        raise _CliFailure(1, str(exc))
+    opt = distill.optimize_quantum_distillation(n_max=args.n_max, tol=args.tol)
     if args.format == "json":
         print(json.dumps(asdict(opt)))
         return 0
@@ -185,9 +178,9 @@ def _cmd_game(args) -> int:
     elif args.eps is not None:
         resource = p_eps(args.eps) if args.delta is None else p_eps_delta(args.eps, args.delta)
     else:
-        raise _CliFailure(2, "game needs a box file or --eps")
+        raise ValueError("game needs a box file or --eps")
     if not 1 <= args.m <= MAX_XOR_COPIES:
-        raise _CliFailure(2, f"--m must be in 1..{MAX_XOR_COPIES}, got {args.m}")
+        raise ValueError(f"--m must be in 1..{MAX_XOR_COPIES}, got {args.m}")
     result = games.play_and_game(resource, args.m, args.tol)
     if args.format == "json":
         print(json.dumps(result.to_json_dict()))
@@ -268,13 +261,10 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except _CliFailure as failure:
-        print(str(failure), file=sys.stderr)
-        return failure.code
-    except (InvalidBoxError, SignalingBoxError) as exc:
+    except (InvalidBoxError, SignalingBoxError, distill.InfeasibleRegionError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:  # unreadable or malformed box files, bad argument values
+    except (OSError, ValueError) as exc:  # usage errors: unreadable or malformed box files, bad argument values
         print(str(exc), file=sys.stderr)
         return 2
 

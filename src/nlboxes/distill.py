@@ -43,6 +43,7 @@ from .boxes import (
     DEFAULT_TOL,
     Correlators,
     FamilyParams,
+    _check_number,
     _clean,
     _correlator_rows,
     check_tol,
@@ -88,11 +89,12 @@ def nl_closed_eps_delta(eps: float, delta: float, n: int) -> float:
     Equals the CHSH non-locality of the composed box for
     delta <= eps <= 1 - delta, that is |1 - 2*eps| <= 1 - 2*delta; outside
     that regime it is still the CHSH expression at input pair 00 but no
-    longer the maximum at every n.
+    longer the maximum at every n. Raises ``ValueError`` unless ``n`` is an
+    int >= 1 and not a bool; there is no upper bound.
     """
     FamilyParams(eps, delta)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return 3.0 * (1.0 - 2.0 * delta) ** n - (1.0 - 2.0 * eps) ** n
 
 
@@ -313,15 +315,18 @@ def optimize_quantum_distillation(
     ``InfeasibleRegionError`` when no evaluated point satisfies the
     constraints (at delta = 0, for instance), and ``ValueError`` before any
     evaluation unless ``n_max`` is an int in 2..``MAX_OPTIMIZE_N``,
-    ``fixed_delta`` is None or in [0, 1], and ``tol`` is finite and >= 0.
+    ``fixed_delta`` is None or a number in [0, 1], and ``tol`` is a finite
+    number >= 0; a number is a Python or numpy int or float, not a bool.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if not 2 <= n_max <= MAX_OPTIMIZE_N:
         raise ValueError(f"n_max must be in 2..{MAX_OPTIMIZE_N}, got {n_max}")
     check_tol(tol)
-    if fixed_delta is not None and not 0.0 <= fixed_delta <= 1.0:
-        raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")
+    if fixed_delta is not None:
+        _check_number(fixed_delta, "fixed_delta")
+        if not 0.0 <= fixed_delta <= 1.0:
+            raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")
 
     ns = np.arange(2, n_max + 1)
     if fixed_delta is not None:

@@ -26,11 +26,13 @@ pairs collapse to the one with the smallest encoding; the resulting 6212
 classes are pinned by a digest in the tests. This also removes strategies
 that ignore a box end (the ignored end's marginal is input independent)
 and order swaps of non-adaptive plans. ``behavior_key`` reads a code's
-class off a flat uint16 table over the 32768 codes, not off numpy scalars.
+class off a flat uint16 table over the 32768 codes, not off numpy scalars;
+the numpy readers take a zero-copy view of the same table.
 ``canonical_strategy`` indexes one flat tuple over the 32768 codes that
-holds each code's class representative. The representatives are decoded
-once per process and the tuple is filled on the first call, so every call
-for one class returns the same object, and a search alone builds neither.
+holds each code's class representative, and ``enumerate_strategies`` reads
+the representatives out of it at their own codes. The first call of either
+decodes the representatives and fills the tuple, once per process, so every
+call for one class returns the same object, and a search alone decodes none.
 
 The pair scan works in the same coordinates. The CHSH correlator X_xy of
 a composite counts each party's final bit 0 with +1 and 1 with -1, so it
@@ -71,10 +73,9 @@ maximum is gathered from the maxima of its u and w columns. For the winning
 row it reads G u and G w out of the same block products, extends each over
 the 82 halves as (p, -p) times the row's sign over its column, and adds
 plus[h0] + minus[h1] over all 82 x 82 pairs of halves (half at input 0,
-half at input 1). A table of those pairs names the Bob class of each of the
-6212 pairs that are classes; the largest sum among them is the row maximum
-bit for bit, so the row's tie set is never empty. The scan covers every Bob
-class, but only some Alice classes:
+half at input 1). The largest sum over the 6212 pairs that are classes is
+the row maximum bit for bit, so some class always ties with it. The scan
+covers every Bob class, but only some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -91,7 +92,10 @@ Ties resolve to the smallest encodings: the winner is the smallest class
 pair (s, t) for which some functional is within 1e-12 of the maximum.
 By the two arguments above, s is the first scanned Alice class whose S
 row comes that near the maximum, and t is the smallest orbit minimum
-among the Bob classes that come that near with s. The reported pair is
+among the Bob classes that come that near with s. The scan holds that
+minimum per pair of halves, with the class count where the pair is no
+class, so t is one masked minimum over the row's 82 x 82 sums; a class
+always ties, so the filler is never that minimum. The reported pair is
 re-verified through the reference composer.
 """
 
@@ -126,7 +130,6 @@ _INPUT0_BITS = 0x6CF0
 @dataclass(frozen=True)
 class _Dedup:
     rep_codes: np.ndarray  # class id -> smallest encoding, ascending
-    class_of_code: np.ndarray  # raw code -> class id
     # The distinct signed halves, exact integers held as floats for the scan's
     # products: one half of each +- pair, those of order bit 0 only, then
     # those of both, then those of order bit 1 only; then their negations in
@@ -137,8 +140,9 @@ class _Dedup:
     # Order bit o -> the rows of the first half of halves whose +- pairs make
     # up V_o, the halves of the codes with that order bit.
     in_order: tuple[slice, slice]
-    # The scalar lookup raw code -> class id as a flat uint16 table: Python
-    # indexes it in about a fifth of the time that a numpy scalar lookup takes.
+    # Raw code -> class id as a flat uint16 table: Python indexes it in about
+    # a fifth of the time that a numpy scalar lookup takes, and numpy reads it
+    # through ``np.frombuffer`` without a copy.
     class_table: array
 
 
@@ -180,26 +184,16 @@ def _dedup() -> _Dedup:
     np.minimum.at(smallest, pair, codes)
     rep_of_code = smallest[pair]
     rep_codes = np.flatnonzero(rep_of_code == codes).astype(np.int32)
-    class_of_code = np.searchsorted(rep_codes, rep_of_code).astype(np.int32)
     half_of = np.stack([h[rep_codes] for h in half_at], axis=1)
     return _Dedup(
         rep_codes=rep_codes,
-        class_of_code=class_of_code,
         halves=halves,
         half_of=half_of,
         signed=halves[half_of],
         in_order=(slice(0, int(in_v[0, kept].sum())), slice(len(kept) - int(in_v[1, kept].sum()), len(kept))),
         # Through bytes: tolist() would box 32768 Python ints.
-        class_table=array("H", class_of_code.astype(np.uint16).tobytes()),
+        class_table=array("H", np.searchsorted(rep_codes, rep_of_code).astype(np.uint16).tobytes()),
     )
-
-
-@lru_cache(maxsize=1)
-def _representatives() -> tuple[AdaptiveStrategy, ...]:
-    """Each class's smallest-encoding strategy, by class id. Decoded on the
-    first call that needs it, not with the dedup, so that a cold search
-    does not pay for 6212 strategies it never reads."""
-    return tuple(map(AdaptiveStrategy.decode, _dedup().rep_codes.tolist()))
 
 
 def behavior_key(strategy: AdaptiveStrategy) -> int:
@@ -208,8 +202,10 @@ def behavior_key(strategy: AdaptiveStrategy) -> int:
 
 
 # Raw code -> its class's shared representative, filled by the first call of
-# ``canonical_strategy``. A module-level tuple and not an lru_cache: the
-# lookup is one index, and a cached-function call costs several times that.
+# ``canonical_strategy`` or ``enumerate_strategies``, not with the dedup, so
+# that a cold search decodes none of the 6212 representatives. A module-level
+# tuple and not an lru_cache: the lookup is one index, and a cached-function
+# call costs several times that.
 # On a 2-core Xeon, 256 lookups took 110 us this way and 177 us through an
 # lru_cache, of which 92 us is the calls into ``canonical_strategy`` themselves.
 _canonical: tuple[AdaptiveStrategy, ...] = ()
@@ -217,7 +213,9 @@ _canonical: tuple[AdaptiveStrategy, ...] = ()
 
 def _build_canonical() -> tuple[AdaptiveStrategy, ...]:
     global _canonical
-    _canonical = tuple(map(_representatives().__getitem__, _dedup().class_table))
+    dedup = _dedup()
+    representatives = tuple(map(AdaptiveStrategy.decode, dedup.rep_codes.tolist()))
+    _canonical = tuple(map(representatives.__getitem__, dedup.class_table))
     return _canonical
 
 
@@ -229,7 +227,7 @@ def canonical_strategy(strategy: AdaptiveStrategy) -> AdaptiveStrategy:
 
 def enumerate_strategies() -> list[AdaptiveStrategy]:
     """Deduplicated strategies, sorted by encoding, as a new list."""
-    return list(_representatives())
+    return list(map((_canonical or _build_canonical()).__getitem__, _dedup().rep_codes.tolist()))
 
 
 def behavior_class_count() -> int:
@@ -262,21 +260,6 @@ _NEAR_MAX = 1e-12
 _CHSH_SIGNS = CHSH_SIGNS.reshape(8, 2, 2).transpose(0, 2, 1)
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    class_perms: np.ndarray  # (relabeling, class) -> image class, in _PARTY_RELABELINGS order
-    orbit_min: np.ndarray  # class -> smallest class of its orbit
-    reps: np.ndarray  # classes that are the smallest of their orbit, ascending
-
-
-@lru_cache(maxsize=1)
-def _orbits() -> _Orbits:
-    dedup = _dedup()
-    perms = np.stack([dedup.class_of_code[_relabel_codes(dedup.rep_codes, *r)] for r in _PARTY_RELABELINGS])
-    orbit_min = perms.min(axis=0)  # the 8 relabelings form a group, so each column is an orbit
-    return _Orbits(perms, orbit_min, np.flatnonzero(orbit_min == np.arange(len(orbit_min))))
-
-
 def _box_coordinates(box: Box) -> np.ndarray:
     """R = kron(Q, Q), the box in the two copies' no-signaling coordinates."""
     p = np.asarray(box.matrix).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)  # (a, x) x (b, y)
@@ -301,13 +284,16 @@ def _half_functionals(box: Box) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Scan:
+    alice: np.ndarray  # the scanned Alice classes, each the smallest of its orbit, ascending
     # The columns u = s0 + s1, then w = s0 - s1, of the scanned Alice classes,
     # s_x a class's signed half at party input x: each side's distinct columns
     # up to sign, in one (9, columns) array.
     columns: np.ndarray
     column_of: np.ndarray  # (2, scanned Alice row) -> its u column, its w column
     sign_of: np.ndarray  # (2, scanned Alice row) -> +-1.0: its u and w over those columns
-    class_of_pair: np.ndarray  # (half at input 0, half at input 1) -> class id, or -1
+    # (half at input 0, half at input 1) -> the smallest class of the orbit of
+    # that pair's Bob class, or the class count where the pair is no class.
+    orbit_min_of_pair: np.ndarray
 
 
 def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -331,17 +317,22 @@ def _scan() -> _Scan:
     """Built on the first search, not with the dedup, so the cold dedup
     stays as it is."""
     dedup = _dedup()
-    signed = dedup.signed[_orbits().reps]
+    class_of_code = np.frombuffer(dedup.class_table, np.uint16)
+    # The 8 relabelings form a group, so a class's 8 images are its orbit.
+    orbit_min = np.min([class_of_code[_relabel_codes(dedup.rep_codes, *r)] for r in _PARTY_RELABELINGS], axis=0)
+    alice = np.flatnonzero(orbit_min == np.arange(len(orbit_min)))
+    signed = dedup.signed[alice]
     (u, u_of, u_sign), (w, w_of, w_sign) = map(
         _distinct_columns, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
     )
-    class_of_pair = np.full((len(dedup.halves),) * 2, -1)
-    class_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]] = np.arange(len(dedup.half_of))
+    orbit_min_of_pair = np.full((len(dedup.halves),) * 2, len(orbit_min))
+    orbit_min_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]] = orbit_min
     return _Scan(
+        alice,
         np.ascontiguousarray(np.hstack([u, w])),
         np.stack([u_of, u.shape[1] + w_of]),
         np.stack([u_sign, w_sign]),
-        class_of_pair,
+        orbit_min_of_pair,
     )
 
 
@@ -386,8 +377,8 @@ def _row_max(g: np.ndarray, scan: _Scan) -> np.ndarray:
 
 def _pair_values(g: np.ndarray, scan: _Scan, row: int) -> np.ndarray:
     """S of one scanned Alice row against every pair of halves (h0, h1),
-    plus[h0] + minus[h1], (82, 82). The pairs with ``class_of_pair`` >= 0
-    are the Bob classes. Half h + 41 is -(half h), so over all 82 halves a
+    plus[h0] + minus[h1], (82, 82). The pairs (half_of[c, 0], half_of[c, 1])
+    are the Bob classes c. Half h + 41 is -(half h), so over all 82 halves a
     row's plus is (p, -p) times its u sign, for p = G c of its u column c,
     and minus likewise."""
     terms = []
@@ -411,8 +402,8 @@ class SearchResult:
     # Where the time went, in seconds, and how much was scanned. These stay
     # out of the JSON form, which is pinned.
     # Input checks, cached tables, box coordinates, G over the halves. In a
-    # fresh process the first call builds the cached tables (the dedup, the
-    # orbits and the scan's distinct Alice columns), which is most of the
+    # fresh process the first call builds the cached tables (the dedup, and
+    # the scan's orbits and distinct Alice columns), which is most of the
     # ~12 ms kernel of a CLI search.
     kernel_s: float = 0.0
     scan_s: float = 0.0  # block products and column maxima per block of Alice columns distinct up to sign, and the tie-break
@@ -448,7 +439,7 @@ def pair_nl_values(box: Box, alice: AdaptiveStrategy, tol: float = DEFAULT_TOL) 
     """
     require_non_signaling(box, tol)
     dedup = _dedup()
-    rows = _functional_rows(box, _CHSH_SIGNS, dedup.signed[dedup.class_of_code[alice.encode()]])
+    rows = _functional_rows(box, _CHSH_SIGNS, dedup.signed[behavior_key(alice)])
     return (rows @ dedup.signed.reshape(-1, 18).T).max(axis=0)
 
 
@@ -465,7 +456,6 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     nl_in = nl_correlators(_correlators(box))
 
     dedup = _dedup()
-    orbits = _orbits()
     scan = _scan()
     g = _half_functionals(box)
     kernel_done = time.perf_counter()
@@ -474,9 +464,8 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
-    best_si = int(orbits.reps[row])
-    tied = scan.class_of_pair[_pair_values(g, scan, row) >= near]
-    best_ti = int(orbits.orbit_min[tied[tied >= 0]].min())
+    best_si = int(scan.alice[row])
+    best_ti = int(scan.orbit_min_of_pair[_pair_values(g, scan, row) >= near].min())
     scan_done = time.perf_counter()
 
     wiring = Wiring2(
@@ -502,6 +491,6 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
         kernel_s=kernel_done - started,
         scan_s=scan_done - kernel_done,
         verify_s=finished - scan_done,
-        alice_rows_scanned=len(orbits.reps),
-        pairs_scanned=len(orbits.reps) * len(dedup.rep_codes),
+        alice_rows_scanned=len(scan.alice),
+        pairs_scanned=len(scan.alice) * len(dedup.rep_codes),
     )

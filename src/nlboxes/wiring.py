@@ -25,6 +25,7 @@ from .boxes import (
     Box,
     Correlators,
     _clean,
+    _is_bit,
     correlators,
     is_non_signaling,
     require_non_signaling,
@@ -109,10 +110,9 @@ _PAIR_PAIRS = tuple((p, q) for p in _BIT_PAIRS for q in _BIT_PAIRS)
 
 
 def _bit(value: int, name: str) -> int:
-    value = int(value)
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value}")
-    return value
+    if not _is_bit(value):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

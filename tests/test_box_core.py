@@ -106,6 +106,12 @@ def test_constructor_range_errors():
         nb.mix(nb.pr(), nb.noise(), 1.5)
     with pytest.raises(ValueError):
         nb.deterministic((0, 2), (0, 0))
+    # Truth-table entries are exact ints: 1.9 is not truncated to 1, and a
+    # bool is not an int here.
+    for fa, fb in (((0, 1.9), (True, 0)), ((0, 1.9), (0, 0)), ((0, 1), (True, 0)), ((0, 1.0), (0, 0)), (("0", 1), (0, 0))):
+        with pytest.raises(ValueError, match="two bits"):
+            nb.deterministic(fa, fb)
+    assert np.array_equal(nb.deterministic((np.int64(0), 1), (1, np.int8(1))).matrix, nb.deterministic((0, 1), (1, 1)).matrix)
     with pytest.raises(ValueError):
         nb.Box(np.zeros((3, 4)))
 

@@ -303,6 +303,35 @@ def test_optimize_above_the_n_max_cap_exits_two(capsys):
     assert captured.err == f"n_max must be in 2..{nb.MAX_OPTIMIZE_N}, got {n_max}\n"
 
 
+def test_optimize_without_a_feasible_point_exits_one(monkeypatch, capsys):
+    # The optimizer's InfeasibleRegionError is a result, not a usage error:
+    # exit 1 with its message as the one stderr line.
+    def infeasible(**kwargs):
+        raise nb.distill.InfeasibleRegionError("no feasible (eps, delta, n) point")
+
+    monkeypatch.setattr(cli.distill, "optimize_quantum_distillation", infeasible)
+    assert run(["optimize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no feasible (eps, delta, n) point\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["distill", "--eps", "0.1", "--n", "5..3"], "bad range '5..3'; expected N or LO..HI"),
+     (["quantum", "--correlators", "1,1,1"], "--correlators needs four comma-separated values"),
+     (["quantum", "--correlators", "1,1,1,x"], "bad correlator values '1,1,1,x': could not convert string to float: 'x'"),
+     (["quantum"], "quantum needs a box file or --correlators"),
+     (["game"], "game needs a box file or --eps"),
+     (["game", "--eps", "0.1", "--m", "17"], "--m must be in 1..16, got 17")],
+)
+def test_usage_errors_exit_two_with_one_line(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def _matrix_text(rows) -> str:
     return json.dumps({"matrix": rows})
 

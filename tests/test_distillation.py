@@ -41,6 +41,21 @@ def test_closed_form_range_errors():
         nb.nl_closed_eps_delta(0.1, -0.1, 2)
 
 
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, "2", None, 0, -1, np.float64(2.0)], ids=repr)
+def test_closed_forms_take_int_copy_counts(n):
+    # A copy count is an int >= 1, not a bool, as in ``compose_xor``: 2.5 gave
+    # 2.4276 and True gave 2.2. There is no upper cap, unlike the composed XOR.
+    for call in (
+        lambda: nb.nl_closed_eps_delta(0.1, 0.0, n),
+        lambda: nb.nl_closed_eps(0.1, n),
+        lambda: nb.is_distillable_at(0.1, 0.0, n),
+    ):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            call()
+    assert nb.nl_closed_eps(0.1, 40) == 3.0 - 0.8**40
+
+
 def test_is_distillable_at():
     assert nb.is_distillable_at(0.1, 0.0, 2)
     assert not nb.is_distillable_at(0.5, 0.0, 2)  # already at the plateau

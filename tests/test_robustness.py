@@ -144,3 +144,30 @@ def test_correlators_outside_unit_interval_rejected():
         code, out, err = _run_cli(["quantum", "--correlators", text])
         assert code == 2 and out == ""
         assert "not in [-1, 1]" in err and "Traceback" not in err
+
+
+
+# Each numeric parameter of the library, as a call that takes one value, with
+# an int it accepts (None where every int is out of range or infeasible).
+_NUMERIC_PARAMETERS = {
+    "tol": (lambda v: nb.validate(nb.p_eps(0.1), v), 0),
+    "fixed_delta": (lambda v: nb.optimize_quantum_distillation(n_max=2, fixed_delta=v), None),
+    "eps": (lambda v: nb.p_eps(v), 1),
+    "delta": (lambda v: nb.p_eps_delta(0.5, v), 0),
+    "eta": (lambda v: nb.isotropic(v), 1),
+    "lam": (lambda v: nb.mix(nb.pr(), nb.noise(), v), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NUMERIC_PARAMETERS))
+def test_numeric_parameters_reject_non_numbers_and_bools(name):
+    # A string, a bool or another non-number is a ValueError, not a TypeError
+    # from a comparison, and True is not taken as 1.0. A fixed_delta of None
+    # asks for the free optimizer.
+    call, integer = _NUMERIC_PARAMETERS[name]
+    for value in ["0", "0.1", True, False, np.bool_(True), [0.1], 1j] + ([] if name == "fixed_delta" else [None]):
+        with pytest.raises(ValueError):
+            call(value)
+    # Python and numpy ints and floats in range still work.
+    for number in (0.03, np.float64(0.03), np.float32(0.03)) + (() if integer is None else (integer, np.int64(integer))):
+        call(number)

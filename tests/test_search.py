@@ -23,6 +23,23 @@ from conftest import TOL_0_BOXES, box_from_correlators, deterministic_vertices, 
 TOL = 1e-9
 
 
+def _class_of_code() -> np.ndarray:
+    """Raw code -> class id, a numpy view of the dedup's flat uint16 table."""
+    return np.frombuffer(search._dedup().class_table, np.uint16)
+
+
+@lru_cache(maxsize=1)
+def _class_perms() -> np.ndarray:
+    """(relabeling, class) -> image class, in ``_PARTY_RELABELINGS`` order."""
+    reps = search._dedup().rep_codes
+    return np.stack([_class_of_code()[search._relabel_codes(reps, *r)] for r in search._PARTY_RELABELINGS])
+
+
+def _orbit_min() -> np.ndarray:
+    """Class -> the smallest class of its orbit under the 8 party relabelings."""
+    return _class_perms().min(axis=0)
+
+
 def test_raw_strategy_count():
     assert nb.RAW_STRATEGY_COUNT == 2 * 4 * 16 * 256 == 32768
 
@@ -37,16 +54,17 @@ def test_dedup_shrinks_and_keeps_reps_sorted():
     assert len(set(codes)) == count
 
 
-# sha256 of class_of_code as little-endian int32: the exact partition of the
-# 32768 raw strategies into behavior classes, numbered by smallest code.
+# sha256 of the class of each code as little-endian int32: the exact partition
+# of the 32768 raw strategies into behavior classes, numbered by smallest code.
 CLASS_OF_CODE_SHA256 = "c4c1a1b66bfb64391780f937271569096f8759b07d51ac12d4c5d6861aaaf589"
 
 
 def test_partition_is_pinned():
     dedup = search._dedup()
     assert nb.behavior_class_count() == 6212
-    assert hashlib.sha256(dedup.class_of_code.astype("<i4").tobytes()).hexdigest() == CLASS_OF_CODE_SHA256
-    assert np.array_equal(dedup.class_of_code[dedup.rep_codes], np.arange(6212))
+    class_of_code = _class_of_code()
+    assert hashlib.sha256(class_of_code.astype("<i4").tobytes()).hexdigest() == CLASS_OF_CODE_SHA256
+    assert np.array_equal(class_of_code[dedup.rep_codes], np.arange(6212))
 
 
 def test_canonical_strategy_is_a_fixed_point():
@@ -63,20 +81,21 @@ def test_canonical_strategy_is_a_fixed_point():
 
 def test_lookup_tables_agree_with_the_dedup_on_every_code(monkeypatch):
     dedup = search._dedup()
-    rep_of_code = dedup.rep_codes[dedup.class_of_code].tolist()
-    class_of_code = dedup.class_of_code.tolist()
-    representatives = search._representatives()
+    rep_of_code = dedup.rep_codes[_class_of_code()].tolist()
+    class_of_code = _class_of_code().tolist()
     for code in range(nb.RAW_STRATEGY_COUNT):
         strat = nb.AdaptiveStrategy.decode(code)
         canon = nb.canonical_strategy(strat)
         key = nb.behavior_key(strat)
-        assert canon is representatives[class_of_code[code]]
+        assert canon is search._canonical[rep_of_code[code]]  # one shared object per class
         assert canon.encode() == rep_of_code[code]
         assert key == class_of_code[code] and type(key) is int
         (s0, s1), ((o00, o01), (o10, o11)) = canon.second_input, canon.output
         fields = (canon.order, *canon.first_input, *s0, *s1, *o00, *o01, *o10, *o11)
         assert all(type(v) is int for v in fields)
-    assert nb.enumerate_strategies() == [nb.AdaptiveStrategy.decode(c) for c in dedup.rep_codes.tolist()]
+    enumerated = nb.enumerate_strategies()
+    assert enumerated == [nb.AdaptiveStrategy.decode(c) for c in dedup.rep_codes.tolist()]
+    assert all(s is search._canonical[s.encode()] for s in enumerated)
     # The flat table is built once: later calls index the same tuple and
     # never call ``_build_canonical`` again.
     table = search._canonical
@@ -93,23 +112,27 @@ def test_lookup_tables_agree_with_the_dedup_on_every_code(monkeypatch):
 
 def test_cold_search_builds_no_representatives_and_the_flat_table_once():
     # A search never reads the class representatives, so a cold search
-    # decodes none of them; the first canonical_strategy call builds the flat
-    # table, and no later call builds it again.
+    # decodes none of them: only the dedup's 256 input-0 codes and the
+    # winning pair. The first canonical_strategy call decodes the 6212
+    # representatives and builds the flat table, and no later call, nor
+    # enumerate_strategies, builds it again.
     code = (
         "import nlboxes as nb\n"
         "from nlboxes import search\n"
-        "builds = []\n"
-        "build = search._build_canonical\n"
+        "builds, decodes = [], []\n"
+        "build, decode = search._build_canonical, nb.AdaptiveStrategy.decode\n"
         "search._build_canonical = lambda: builds.append(1) or build()\n"
+        "nb.AdaptiveStrategy.decode = staticmethod(lambda c: decodes.append(c) or decode(c))\n"
         "nb.search_2copy(nb.p_eps(0.1))\n"
-        "print(search._representatives.cache_info().currsize, len(search._canonical), len(builds))\n"
+        "print(len(decodes), len(search._canonical), len(builds))\n"
         "for c in range(0, nb.RAW_STRATEGY_COUNT, 5):\n"
-        "    nb.canonical_strategy(nb.AdaptiveStrategy.decode(c))\n"
-        "print(search._representatives.cache_info().currsize, len(search._canonical), len(builds))\n"
+        "    nb.canonical_strategy(decode(c))\n"
+        "nb.enumerate_strategies()\n"
+        "print(len(decodes), len(search._canonical), len(builds))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split("\n")[:2] == ["0 0 0", f"1 {nb.RAW_STRATEGY_COUNT} 1"]
+    assert done.stdout.split("\n")[:2] == ["258 0 0", f"{258 + 6212} {nb.RAW_STRATEGY_COUNT} 1"]
 
 
 def test_canonical_strategy_returns_one_shared_representative_per_class():
@@ -120,7 +143,7 @@ def test_canonical_strategy_returns_one_shared_representative_per_class():
         assert nb.canonical_strategy(strat) is canon
         assert nb.canonical_strategy(nb.AdaptiveStrategy.decode(code)) is canon
         assert nb.canonical_strategy(canon) is canon
-        expected = nb.AdaptiveStrategy.decode(int(dedup.rep_codes[dedup.class_of_code[code]]))
+        expected = nb.AdaptiveStrategy.decode(int(dedup.rep_codes[_class_of_code()[code]]))
         for field in dataclasses.fields(expected):
             assert getattr(canon, field.name) == getattr(expected, field.name)
         assert canon.encode() == expected.encode()
@@ -269,17 +292,20 @@ def test_signed_halves_split_by_order_bit():
     v0, v1 = set(range(33)) | set(range(41, 74)), set(range(8, 41)) | set(range(49, 82))
     for order, v in enumerate((v0, v1)):
         codes = np.arange(order << 14, (order + 1) << 14)
-        assert set(dedup.half_of[dedup.class_of_code[codes]].ravel().tolist()) == v
+        assert set(dedup.half_of[_class_of_code()[codes]].ravel().tolist()) == v
         assert {(h + 41) % 82 for h in v} == v
         assert set(range(82)[dedup.in_order[order]]) == {h for h in v if h < 41}
     pairs = {tuple(p) for p in dedup.half_of.tolist()}
     assert len(pairs) == 6212
     assert pairs == set(product(v0, v0)) | set(product(v1, v1))
-    # The scan's table of half pairs names exactly these classes.
-    class_of_pair = search._scan().class_of_pair
-    assert class_of_pair.shape == (82, 82) and np.count_nonzero(class_of_pair >= 0) == 6212
-    assert np.array_equal(class_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]], np.arange(6212))
-    assert set(class_of_pair[class_of_pair < 0].tolist()) == {-1}
+    # The scan's table of half pairs holds each class's orbit minimum at the
+    # class's pair, and the class count, above every class id, at the others.
+    orbit_min_of_pair = search._scan().orbit_min_of_pair
+    is_class = np.zeros((82, 82), dtype=bool)
+    is_class[dedup.half_of[:, 0], dedup.half_of[:, 1]] = True
+    assert orbit_min_of_pair.shape == (82, 82) and np.count_nonzero(is_class) == 6212
+    assert np.array_equal(orbit_min_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]], _orbit_min())
+    assert set(orbit_min_of_pair[~is_class].tolist()) == {6212}
 
 
 def test_scan_columns_are_the_distinct_alice_columns():
@@ -288,7 +314,7 @@ def test_scan_columns_are_the_distinct_alice_columns():
     # zero column. The scan keeps the u columns, then the w columns, and each
     # row points at its own two columns with its sign over each.
     dedup, scan = search._dedup(), search._scan()
-    signed = dedup.signed[search._orbits().reps]
+    signed = dedup.signed[scan.alice]
     sides = (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
     assert [len({tuple(r) for r in rows.tolist()}) for rows in sides] == [578, 499]
     assert scan.columns.shape == (9, 998) and scan.columns.flags.c_contiguous
@@ -349,12 +375,16 @@ def test_chsh_stabilizer_covers_every_alice_relabeling():
     stabilizer = chsh_stabilizer()
     assert len(stabilizer) == 8
     assert {(r.flip_x, r.flip_a, r.a_flip_with_x) for r in stabilizer} == set(search._PARTY_RELABELINGS)
-    assert len(search._orbits().reps) == 797
+    # The scanned Alice classes are the orbit minima, one per orbit.
+    orbit_min = _orbit_min()
+    assert np.array_equal(orbit_min[orbit_min], orbit_min) and np.all(orbit_min <= np.arange(6212))
+    assert np.array_equal(search._scan().alice, np.flatnonzero(orbit_min == np.arange(6212)))
+    assert len(search._scan().alice) == 797
 
 
 @pytest.mark.parametrize("alice_flips", search._PARTY_RELABELINGS)
 def test_party_relabeling_permutes_classes(alice_flips, rng):
-    perms = search._orbits().class_perms
+    perms = _class_perms()
     alice_perm = perms[search._PARTY_RELABELINGS.index(alice_flips)]
     assert np.array_equal(np.sort(alice_perm), np.arange(nb.behavior_class_count()))
     strategies = nb.enumerate_strategies()
@@ -467,18 +497,17 @@ def test_search_matches_dense_eight_functional_scan(box):
     ids=["p_eps(0.1)", "p_eps_delta(0.3,0.02)", "isotropic(0.8)", "noise", "random_ns", "random_nonlocal"],
 )
 def test_separable_rows_match_the_18_coordinate_rows(box):
-    dedup, reps, scan = search._dedup(), search._orbits().reps, search._scan()
+    dedup, scan = search._dedup(), search._scan()
+    reps = scan.alice
     g = search._half_functionals(box)
     row_max = search._row_max(g, scan)
     s_rows = search._functional_rows(box, search._CHSH_SIGNS[0], dedup.signed[reps]) @ dedup.signed.reshape(-1, 18).T
     assert np.max(np.abs(row_max - s_rows.max(axis=1))) <= 1e-13
     # Every row, so every distinct column, both signs and every block edge.
     assert len(reps) == 797 and search._ROW_BLOCK == 333
-    is_class = scan.class_of_pair >= 0
-    classes = scan.class_of_pair[is_class]
     for row in range(len(reps)):
-        values = search._pair_values(g, scan, row)[is_class]
-        assert np.max(np.abs(values - s_rows[row, classes])) <= 1e-13
+        values = search._pair_values(g, scan, row)[dedup.half_of[:, 0], dedup.half_of[:, 1]]  # by class
+        assert np.max(np.abs(values - s_rows[row])) <= 1e-13
         assert values.max() == row_max[row]  # bit for bit, so the winning row's tie set is never empty
 
 
@@ -510,8 +539,9 @@ def test_blocked_row_max_matches_unblocked(count):
     # Row maxima gathered from these classes' distinct columns up to sign,
     # against the same maxima over all 82 halves and each class's own columns.
     (u, u_of, u_sign), (w, w_of, w_sign) = map(search._distinct_columns, sides)
-    scan = search._Scan(
-        np.hstack([u, w]), np.stack([u_of, u.shape[1] + w_of]), np.stack([u_sign, w_sign]), search._scan().class_of_pair
+    scan = dataclasses.replace(
+        search._scan(), columns=np.hstack([u, w]), column_of=np.stack([u_of, u.shape[1] + w_of]),
+        sign_of=np.stack([u_sign, w_sign]),
     )
     plus, minus = (g_all @ rows.T for rows in sides)
     unblocked = np.max([plus[v].max(axis=0) + minus[v].max(axis=0) for v in v_all], axis=0)
@@ -534,15 +564,15 @@ def _order_rows() -> list[np.ndarray]:
     """V_o over all 82 halves, read off the codes with order bit o rather
     than off the scan's slices."""
     dedup = search._dedup()
-    return [np.unique(dedup.half_of[dedup.class_of_code[np.arange(o << 14, (o + 1) << 14)]]) for o in (0, 1)]
+    return [np.unique(dedup.half_of[_class_of_code()[np.arange(o << 14, (o + 1) << 14)]]) for o in (0, 1)]
 
 
 def _bob_row(box: nb.Box, row: int) -> np.ndarray:
     """The scan's tie-break before the table of half pairs: S of one scanned
     Alice row against every Bob class, in class order, gathered per class
     out of the product of G over all 82 halves with the row's own columns."""
-    dedup, reps = search._dedup(), search._orbits().reps
-    s0, s1 = dedup.signed[reps[row]]
+    dedup = search._dedup()
+    s0, s1 = dedup.signed[search._scan().alice[row]]
     g_all = _all_half_functionals(box)
     return (g_all @ (s0 + s1))[dedup.half_of[:, 0]] + (g_all @ (s0 - s1))[dedup.half_of[:, 1]]
 
@@ -552,15 +582,15 @@ def _oracle_scan(box: nb.Box) -> tuple[np.ndarray, tuple[int, int]]:
     halves, with R from np.kron: an Alice row's plus = H[s0] + H[s1] and
     minus = H[s0] - H[s1], maxima per order bit along each row. Returns the
     row maxima of the scanned Alice classes and the winning class pair."""
-    dedup, orbits = search._dedup(), search._orbits()
+    dedup, alice = search._dedup(), search._scan().alice
     h = dedup.halves @ _kron_coordinates(box) @ dedup.halves.T
-    s0, s1 = dedup.half_of[orbits.reps].T
+    s0, s1 = dedup.half_of[alice].T
     plus, minus = h[s0] + h[s1], h[s0] - h[s1]
     row_max = np.max([plus[:, v].max(axis=1) + minus[:, v].max(axis=1) for v in _order_rows()], axis=0)
     near = row_max.max() - search._NEAR_MAX
     row = int(np.argmax(row_max >= near))
     bob = plus[row][dedup.half_of[:, 0]] + minus[row][dedup.half_of[:, 1]]
-    return row_max, (int(orbits.reps[row]), int(orbits.orbit_min[bob >= near].min()))
+    return row_max, (int(alice[row]), int(_orbit_min()[bob >= near].min()))
 
 
 # The search_stream benchmark's eight input kinds, rebuilt here from the
@@ -626,8 +656,7 @@ def _winning_pairs(boxes: list[nb.Box]) -> np.ndarray:
 def test_block_product_scan_matches_the_h_gather_oracle():
     corpus = _search_corpus(16, 520)
     assert {kind for kind, _ in corpus} == {*_CORPUS_KINDS, "p_eps(1/3)", "noise", "pr"}
-    scan, orbit_min = search._scan(), search._orbits().orbit_min
-    is_class = scan.class_of_pair >= 0
+    dedup, scan, orbit_min = search._dedup(), search._scan(), _orbit_min()
     pairs = _winning_pairs([box for _, box in corpus])
     for (kind, box), pair in zip(corpus, pairs.tolist()):
         oracle_max, oracle_pair = _oracle_scan(box)
@@ -642,10 +671,13 @@ def test_block_product_scan_matches_the_h_gather_oracle():
         row = int(np.argmax(row_max >= near))
         values = search._pair_values(g, scan, row)
         gathered = _bob_row(box, row)
-        assert np.max(np.abs(values[is_class] - gathered[scan.class_of_pair[is_class]])) <= 1e-13, kind
-        tied = scan.class_of_pair[(values >= near) & is_class]
-        assert np.array_equal(np.sort(tied), np.flatnonzero(gathered >= near)), kind
+        by_class = values[dedup.half_of[:, 0], dedup.half_of[:, 1]]
+        assert np.max(np.abs(by_class - gathered)) <= 1e-13, kind
+        tied = np.flatnonzero(by_class >= near)
+        assert np.array_equal(tied, np.flatnonzero(gathered >= near)), kind
         assert orbit_min[tied].min() == pair[1], kind
+        # The search's one masked minimum over the table of half pairs.
+        assert scan.orbit_min_of_pair[values >= near].min() == pair[1], kind
 
 
 # sha256 of the winning (Alice, Bob) class pairs on _search_corpus(2024, 200),

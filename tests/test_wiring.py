@@ -305,6 +305,19 @@ def test_strategy_validation():
         nb.AdaptiveStrategy(0, (0, 3), ((0, 0), (0, 0)), (((0, 0), (0, 0)), ((0, 0), (0, 0))))
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, 0.9, True, False, "1", None, np.float64(1.0), np.bool_(True)], ids=repr)
+def test_strategy_bits_are_exact_ints(bad):
+    # A map entry is an int 0 or 1: no truncation of 1.5 to 1 (which built
+    # code 21350 from order=1.5), and no bool taken as an int.
+    maps = dict(first_input=(0, 1), second_input=((0, 0), (1, 1)), output=(((0, 1), (1, 0)), ((0, 1), (1, 0))))
+    assert nb.AdaptiveStrategy(order=1, **maps).encode() == 21350
+    assert nb.AdaptiveStrategy(order=np.int64(1), **maps).encode() == 21350
+    with pytest.raises(ValueError, match="order must be 0 or 1"):
+        nb.AdaptiveStrategy(order=bad, **maps)
+    with pytest.raises(ValueError, match="output must be 0 or 1"):
+        nb.AdaptiveStrategy(order=0, **{**maps, "output": (((0, bad), (1, 0)), ((0, 1), (1, 0)))})
+
+
 def test_trace_respects_query_order():
     # Query physical copy 1 first, feed it the input, then feed copy 0 the
     # first outcome, and output the second-seen bit.
