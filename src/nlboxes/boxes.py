@@ -10,12 +10,25 @@ representation, and all file I/O uses this ordering.
 All comparisons share a single absolute tolerance (default 1e-9). The
 quantities computed here are low-degree polynomials of the table entries,
 so double precision keeps rounding error orders of magnitude below it.
+
+Every input of the package follows one contract, checked here:
+
+- a number (a box entry, a correlator, a tolerance, eps, delta, eta, lam,
+  fixed_delta) is a Python or numpy int or float, not a bool, that a float
+  holds (``_check_number``; ``_as_matrix`` for box entries);
+- an integer (a copy count, the AND game's depth, ``n_max``, a strategy
+  code or bit) is a Python or numpy int, not a bool, in the documented
+  range (``_check_int``, ``_is_bit``), and is kept as a plain int.
+
+Anything else raises ``ValueError``: strings, bools, None, Fractions,
+Decimals, arrays and complex numbers alike.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -47,6 +60,12 @@ class SignalingBoxError(ValueError):
 
 
 def _as_matrix(values) -> np.ndarray:
+    """A read-only 4x4 float copy of ``values``, which hold ints and floats,
+    Python or numpy, and no bools; ``ValueError`` otherwise. An ndarray is
+    checked by its dtype, anything else entry by entry. NaN and infinite
+    entries pass, for ``validate`` to report."""
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "iuf":
+        raise ValueError(f"box matrix must hold numbers, got {values.dtype}")
     try:
         arr = np.array(values, dtype=float)
     except TypeError as exc:  # entries such as JSON objects
@@ -55,6 +74,12 @@ def _as_matrix(values) -> np.ndarray:
         raise ValueError("box matrix entry is too large for a float") from exc
     if arr.shape != (4, 4):
         raise ValueError(f"box matrix must be 4x4, got shape {arr.shape}")
+    if not isinstance(values, np.ndarray):
+        # The matrix is 4x4 now, so it is four rows of four entries.
+        samples = {type(v): v for row in values for v in row}.values()  # one entry per type
+        kinds = {type(v).__name__ for v in samples if not _is_number(v)}
+        if kinds:
+            raise ValueError(f"box matrix must hold numbers, got {', '.join(sorted(kinds))}")
     arr.setflags(write=False)
     return arr
 
@@ -84,19 +109,13 @@ class Box:
         """The box of a ``{"matrix": ...}`` object whose 16 entries are JSON numbers.
 
         Raises ``ValueError`` for any other object, including one whose
-        entries are strings, booleans or nulls, which ``np.array`` would
-        convert, or an integer too large for a float. NaN and infinite
-        numbers pass, for ``validate`` to report.
+        entries are strings, booleans or nulls, or an integer too large for
+        a float: the ``Box`` rule. NaN and infinite numbers pass, for
+        ``validate`` to report.
         """
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise ValueError('box JSON must be an object with a "matrix" key')
-        box = cls(obj["matrix"])
-        # The matrix is 4x4 now, so it is four rows of four entries; bool is not int here.
-        kinds = {type(v) for row in obj["matrix"] for v in row} - {int, float}
-        if kinds:
-            names = ", ".join(sorted(k.__name__ for k in kinds))
-            raise ValueError(f"box matrix must hold numbers, got {names}")
-        return box
+        return cls(obj["matrix"])
 
     @classmethod
     def from_json(cls, text: str) -> "Box":
@@ -115,12 +134,21 @@ class Box:
 
 @dataclass(frozen=True)
 class Correlators:
-    """The four correlation functions of a box, one per input pair xy."""
+    """The four correlation functions of a box, one per input pair xy.
+
+    Each must be a finite number; ``ValueError`` otherwise. The range
+    [-1, 1] is checked where a tolerance is known, by ``arcsin_sums``.
+    """
 
     x00: float
     x01: float
     x10: float
     x11: float
+
+    def __post_init__(self) -> None:
+        for value in self.as_tuple():
+            if not math.isfinite(_check_number(value, "correlator")):
+                raise ValueError(f"correlator {value!r} is not in [-1, 1]")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x00, self.x01, self.x10, self.x11)
@@ -128,18 +156,17 @@ class Correlators:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters of the two-parameter resource family ``p_eps_delta``."""
+    """Parameters of the two-parameter resource family ``p_eps_delta``, kept
+    as plain floats: a float32 delta would round the rows' sums off 1."""
 
     eps: float
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_number(self.eps, "eps")
-        _check_number(self.delta, "delta")
+        object.__setattr__(self, "eps", _check_number(self.eps, "eps"))
         if not 0.0 < self.eps <= 1.0:
             raise ValueError(f"eps must be in (0, 1], got {self.eps}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        object.__setattr__(self, "delta", _check_unit(self.delta, "delta"))
 
 
 @dataclass(frozen=True)
@@ -174,28 +201,64 @@ class NonSignalingCheck(NamedTuple):
     residual: float
 
 
-# The types a numeric parameter may have: Python and numpy ints and floats.
-# bool is an int subclass, so the checks exclude it by name.
+# The types a number may have: Python and numpy ints and floats. bool is an
+# int subclass, so the checks exclude it by name. Plain type checks: every
+# ``validate`` and every ``Correlators`` runs them.
 _NUMBER_TYPES = (float, int, np.floating, np.integer)
 
 
-def _check_number(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int or float, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+def _is_int(value) -> bool:
+    """A Python or numpy int that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A Python or numpy int or float that is not a bool."""
+    return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, lo: int, hi: int = sys.maxsize) -> int:
+    """``value`` as a plain int. Raises ``ValueError`` unless it is a Python
+    or numpy int in the integer range lo..hi, not a bool. The default ``hi``
+    bounds a count that has no limit of its own, and its message leads with
+    ``lo``."""
+    if _is_int(value) and lo <= value <= hi:
+        return int(value)
+    span = f"an integer >= {lo} and <= sys.maxsize" if hi == sys.maxsize else f"in {lo}..{hi}"
+    raise ValueError(f"{name} must be {span}, got {value!r}")
+
+
+def _check_number(value, name: str) -> float:
+    """``value`` as a float. Raises ``ValueError`` unless it is a Python or
+    numpy int or float, not a bool, that a float holds."""
+    if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # a Python int above the largest float
+        raise ValueError(f"{name} is too large for a float") from exc
+
+
+def _check_unit(value, name: str) -> float:
+    """``value`` as a float. Raises ``ValueError`` unless it is a number in [0, 1]."""
+    unit = _check_number(value, name)
+    if not 0.0 <= unit <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return unit
 
 
 def _is_bit(value) -> bool:
     """An int 0 or 1, Python or numpy, that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in (0, 1)
+    return _is_int(value) and value in (0, 1)
 
 
-def check_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite non-negative number,
-    a Python or numpy int or float and not a bool. Plain type checks: every
-    ``validate`` runs this."""
-    if isinstance(tol, bool) or not isinstance(tol, _NUMBER_TYPES) or not 0.0 <= tol < math.inf:
+def check_tol(tol: float) -> float:
+    """``tol`` as a float. Raises ``ValueError`` unless it is a finite
+    number >= 0, by the ``_check_number`` rule."""
+    value = _check_number(tol, "tolerance")
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return value
 
 
 def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -206,7 +269,7 @@ def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
     infinite entry is a violation of its own, and its row sum is not
     checked. Raises ``ValueError`` for a negative or non-finite ``tol``.
     """
-    check_tol(tol)
+    tol = check_tol(tol)
     m = box.matrix
     # Fast accept; min and max propagate NaN, so a non-finite entry falls through.
     if -tol <= np.minimum.reduce(m, axis=None) and np.maximum.reduce(m, axis=None) <= 1.0 + tol:
@@ -336,7 +399,8 @@ def is_local(box: Box, tol: float = DEFAULT_TOL) -> bool:
 def _clean(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     # Zero out negative floating-point dust produced by mixing/averaging.
     out = np.array(matrix, dtype=float)
-    out[(out < 0.0) & (out >= -tol)] = 0.0
+    # check_tol gives a float: -tol of an unsigned numpy int would wrap.
+    out[(out < 0.0) & (out >= -check_tol(tol))] = 0.0
     return out
 
 
@@ -380,9 +444,7 @@ def p_eps_delta(eps: float, delta: float = 0.0) -> Box:
 
 def isotropic(eta: float) -> Box:
     """Mixture eta * PR + (1 - eta) * noise; correlators (eta, eta, eta, -eta)."""
-    _check_number(eta, "eta")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    _check_unit(eta, "eta")
     return mix(pr(), noise(), eta)
 
 
@@ -404,9 +466,7 @@ def deterministic(fa: Sequence[int], fb: Sequence[int]) -> Box:
 
 def mix(box1: Box, box2: Box, lam: float, tol: float = DEFAULT_TOL) -> Box:
     """Convex mixture lam * box1 + (1 - lam) * box2."""
-    _check_number(lam, "lam")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
+    lam = _check_unit(lam, "lam")
     return Box(_clean(lam * box1.matrix + (1.0 - lam) * box2.matrix, tol))
 
 

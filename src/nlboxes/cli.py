@@ -38,11 +38,9 @@ from .wiring import MAX_XOR_COPIES
 
 def _tol(text: str) -> float:
     try:
-        value = float(text)
-        check_tol(value)
+        return check_tol(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return value
 
 
 def _parse_range(text: str) -> range:

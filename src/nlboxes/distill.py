@@ -43,7 +43,8 @@ from .boxes import (
     DEFAULT_TOL,
     Correlators,
     FamilyParams,
-    _check_number,
+    _check_int,
+    _check_unit,
     _clean,
     _correlator_rows,
     check_tol,
@@ -53,7 +54,7 @@ from .boxes import (
     require_non_signaling,
 )
 from .quantum import is_quantum_correlators
-from .wiring import _check_copies, _xor_powers
+from .wiring import MAX_XOR_COPIES, _xor_powers
 
 # Strictness margin for calling a point distillable; keeps boundary points
 # from flipping on rounding noise.
@@ -90,12 +91,12 @@ def nl_closed_eps_delta(eps: float, delta: float, n: int) -> float:
     delta <= eps <= 1 - delta, that is |1 - 2*eps| <= 1 - 2*delta; outside
     that regime it is still the CHSH expression at input pair 00 but no
     longer the maximum at every n. Raises ``ValueError`` unless ``n`` is an
-    int >= 1 and not a bool; there is no upper bound.
+    int in 1..``sys.maxsize``, Python or numpy and not a bool: the bound
+    keeps the powers within a float's exponent.
     """
-    FamilyParams(eps, delta)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return 3.0 * (1.0 - 2.0 * delta) ** n - (1.0 - 2.0 * eps) ** n
+    params = FamilyParams(eps, delta)
+    n = _check_int(n, "n", 1)
+    return 3.0 * (1.0 - 2.0 * params.delta) ** n - (1.0 - 2.0 * params.eps) ** n
 
 
 def is_distillable_at(eps: float, delta: float, n: int) -> bool:
@@ -170,15 +171,14 @@ def distillation_report(
     stops at the first bad one: a long range fails at 17 without being
     listed.
     """
+    params = FamilyParams(eps, delta)  # plain floats from here on
+    eps, delta = params.eps, params.delta
     resource = p_eps_delta(eps, delta)
     if not delta <= eps <= 1.0 - delta:
         raise ValueError(
             f"the XOR closed form holds only for delta <= eps <= 1 - delta, got eps={eps!r}, delta={delta!r}"
         )
-    ns = []
-    for n in n_values:
-        _check_copies(n)
-        ns.append(n)
+    ns = [_check_int(n, "n", 1, MAX_XOR_COPIES) for n in n_values]
     require_non_signaling(resource, tol)
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
@@ -318,15 +318,10 @@ def optimize_quantum_distillation(
     ``fixed_delta`` is None or a number in [0, 1], and ``tol`` is a finite
     number >= 0; a number is a Python or numpy int or float, not a bool.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    if not 2 <= n_max <= MAX_OPTIMIZE_N:
-        raise ValueError(f"n_max must be in 2..{MAX_OPTIMIZE_N}, got {n_max}")
+    n_max = _check_int(n_max, "n_max", 2, MAX_OPTIMIZE_N)
     check_tol(tol)
     if fixed_delta is not None:
-        _check_number(fixed_delta, "fixed_delta")
-        if not 0.0 <= fixed_delta <= 1.0:
-            raise ValueError(f"fixed_delta must be in [0, 1], got {fixed_delta}")
+        fixed_delta = _check_unit(fixed_delta, "fixed_delta")
 
     ns = np.arange(2, n_max + 1)
     if fixed_delta is not None:

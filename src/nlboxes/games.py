@@ -26,19 +26,20 @@ from itertools import product
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, Box, _correlators, chsh_values, nl_correlators, require_non_signaling
-from .wiring import _check_copies, _compose_xor
+from .boxes import DEFAULT_TOL, Box, _check_int, _correlators, chsh_values, nl_correlators, require_non_signaling
+from .wiring import MAX_XOR_COPIES, _compose_xor
 
 
 @dataclass(frozen=True)
 class AndGameStrategy:
-    """Resource box plus an optional XOR pre-distillation depth."""
+    """Resource box plus an optional XOR pre-distillation depth, an int in
+    1..16 that is kept as a plain int."""
 
     resource: Box
     m: int = 1
 
     def __post_init__(self) -> None:
-        _check_copies(self.m, "m")
+        object.__setattr__(self, "m", _check_int(self.m, "m", 1, MAX_XOR_COPIES))
 
 
 def _played_box(strategy: AndGameStrategy, tol: float) -> Box:
@@ -135,10 +136,11 @@ class GameResult:
 
 def play_and_game(resource: Box, m: int = 1, tol: float = DEFAULT_TOL) -> GameResult:
     """Evaluate the fixed cross-term strategy and report it against the classical bar."""
-    played = _played_box(AndGameStrategy(resource, m), tol)
+    strategy = AndGameStrategy(resource, m)
+    played = _played_box(strategy, tol)
     return GameResult(
         resource_nl=nl_correlators(_correlators(resource)),
-        m=m,
+        m=strategy.m,
         s_value=chsh_values(_correlators(played))[0],
         success=_gathered_win_probability(played),
         classical_baseline=classical_and_optimum(),

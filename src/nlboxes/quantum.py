@@ -21,6 +21,7 @@ from .boxes import (
     Correlators,
     _correlators,
     _marginals,
+    check_tol,
     chsh_values,
     nl_correlators,
     require_non_signaling,
@@ -30,7 +31,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
 def _arcsin(value: float, tol: float) -> float:
-    if not abs(value) <= 1.0 + tol:  # also rejects NaN
+    if not abs(value) <= 1.0 + tol:
         raise ValueError(f"correlator {value!r} is not in [-1, 1]")
     # Clamp so saturated tuples (e.g. all |X| = 1) cannot produce NaN.
     return math.asin(min(1.0, max(-1.0, value)))
@@ -42,6 +43,7 @@ def arcsin_sums(c: Correlators, tol: float = DEFAULT_TOL) -> tuple[float, float,
     They are the first four CHSH expressions taken over the arcsines of
     the correlators.
     """
+    tol = check_tol(tol)
     return chsh_values(Correlators(*(_arcsin(v, tol) for v in c.as_tuple())))[:4]
 
 
@@ -74,6 +76,7 @@ class QuantumVerdict:
 
 def has_uniform_marginals(box: Box, tol: float = DEFAULT_TOL) -> bool:
     """True iff P(a=0|xy) and P(b=0|xy) are 1/2 within ``tol`` on every row."""
+    tol = check_tol(tol)
     alice, bob = _marginals(box)
     return bool(np.abs(np.concatenate((alice[:, 0], bob[:, 0])) - 0.5).max() <= tol)
 
@@ -92,4 +95,5 @@ def is_quantum_box(box: Box, tol: float = DEFAULT_TOL) -> QuantumVerdict:
 
 def tsirelson_check(c: Correlators, tol: float = DEFAULT_TOL) -> bool:
     """Necessary condition only: largest CHSH value at most 2*sqrt(2)."""
+    tol = check_tol(tol)
     return nl_correlators(c) <= TSIRELSON_BOUND + tol

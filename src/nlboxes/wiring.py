@@ -14,7 +14,6 @@ interleave their queries, so no global schedule is needed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,6 +23,7 @@ from .boxes import (
     DEFAULT_TOL,
     Box,
     Correlators,
+    _check_int,
     _clean,
     _is_bit,
     correlators,
@@ -32,14 +32,6 @@ from .boxes import (
 )
 
 MAX_XOR_COPIES = 16
-
-
-def _check_copies(n, name: str = "n") -> None:
-    """Raise ``ValueError`` unless ``n`` is an int (not a bool) in 1..16."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_XOR_COPIES:
-        raise ValueError(f"{name} must be in 1..{MAX_XOR_COPIES}, got {n}")
 
 
 def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
@@ -53,7 +45,7 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     n of one box, ``distillation_report`` composes once and reads each n
     off that run.
     """
-    _check_copies(n)
+    n = _check_int(n, "n", 1, MAX_XOR_COPIES)
     require_non_signaling(box, tol)
     return _compose_xor(box, n, tol)
 
@@ -95,24 +87,19 @@ def xor_correlator_law(box: Box, n: int, tol: float = DEFAULT_TOL) -> Correlator
     The XOR of independent +-1 variables multiplies their expectations, so
     this must agree with the brute-force composition entrywise.
     """
-    _check_copies(n)
+    n = _check_int(n, "n", 1, MAX_XOR_COPIES)
     c = correlators(box, tol)
     return Correlators(c.x00**n, c.x01**n, c.x10**n, c.x11**n)
 
 
 # A binary pair of a strategy map, indexed by its 2-bit field in the code
-# (first entry high), and back.
+# (first entry high).
 _BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_PAIR_BITS = {pair: field for field, pair in enumerate(_BIT_PAIRS)}
 # A pair of binary pairs, indexed by its 4-bit field: shared tuples, so
 # decoded strategies share their ``second_input`` and ``output`` halves.
 _PAIR_PAIRS = tuple((p, q) for p in _BIT_PAIRS for q in _BIT_PAIRS)
-
-
-def _bit(value: int, name: str) -> int:
-    if not _is_bit(value):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
+# The map of each of the 15 code bits, most significant first.
+_BIT_MAPS = ("order",) + ("first_input",) * 2 + ("second_input",) * 4 + ("output",) * 8
 
 
 @dataclass(frozen=True)
@@ -131,7 +118,9 @@ class AdaptiveStrategy:
     ``second_input[x][o]``, ``output[x][o1][o2]``. Each strategy holds its
     code from construction on, as the plain attribute ``_code``, which is
     not a field: equality, hashing, ``repr`` and the JSON form read the
-    fields only.
+    fields only. The constructor takes any maps of the right shape whose 15
+    entries are ints 0 or 1, Python or numpy and not bools, and stores the
+    fields ``decode`` gives its code: nested tuples of plain ints.
     """
 
     order: int
@@ -140,25 +129,17 @@ class AdaptiveStrategy:
     output: tuple[tuple[tuple[int, int], tuple[int, int]], tuple[tuple[int, int], tuple[int, int]]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", _bit(self.order, "order"))
-        fi = tuple(_bit(v, "first_input") for v in self.first_input)
-        si = tuple(tuple(_bit(v, "second_input") for v in row) for row in self.second_input)
-        out = tuple(
-            tuple(tuple(_bit(v, "output") for v in inner) for inner in mid) for mid in self.output
-        )
-        if len(fi) != 2 or len(si) != 2 or len(out) != 2:
-            raise ValueError("strategy maps must be indexed by one input bit")
-        if any(len(row) != 2 for row in si) or any(len(mid) != 2 or any(len(i) != 2 for i in mid) for mid in out):
-            raise ValueError("strategy maps must be total on their binary domains")
-        object.__setattr__(self, "first_input", fi)
-        object.__setattr__(self, "second_input", si)
-        object.__setattr__(self, "output", out)
-        bits = _PAIR_BITS
-        (s0, s1), ((o00, o01), (o10, o11)) = si, out
-        object.__setattr__(self, "_code", (
-            self.order << 14 | bits[fi] << 12 | bits[s0] << 10 | bits[s1] << 8
-            | bits[o00] << 6 | bits[o01] << 4 | bits[o10] << 2 | bits[o11]
-        ))
+        try:
+            (f0, f1), ((s00, s01), (s10, s11)) = self.first_input, self.second_input
+            ((o000, o001), (o010, o011)), ((o100, o101), (o110, o111)) = self.output
+        except (TypeError, ValueError) as exc:  # not iterable, or the wrong length
+            raise ValueError("strategy maps must be total on their binary domains") from exc
+        bits = (self.order, f0, f1, s00, s01, s10, s11, o000, o001, o010, o011, o100, o101, o110, o111)
+        for name, bit in zip(_BIT_MAPS, bits):
+            if not _is_bit(bit):
+                raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+        code = sum(int(bit) << 14 - i for i, bit in enumerate(bits))
+        vars(self).update(vars(self.decode(code)))
 
     def trace(self, x: int, outcomes: tuple[int, int]) -> tuple[tuple[int, int], int]:
         """Inputs fed to the physical copies and the final bit.
@@ -190,11 +171,10 @@ class AdaptiveStrategy:
         read off ``_PAIR_PAIRS`` by their 4-bit fields. Both tables hold
         shared tuples of plain ints, so the maps are binary and total by
         construction. The fields and the code are therefore set in one step,
-        without the checks of ``__post_init__``.
+        without the checks of ``__post_init__``. Raises ``ValueError`` unless
+        ``code`` is an int in 0..32767, Python or numpy and not a bool.
         """
-        code = operator.index(code)
-        if not 0 <= code < 1 << 15:
-            raise ValueError(f"strategy code out of range: {code}")
+        code = _check_int(code, "strategy code", 0, (1 << 15) - 1)
         pp = _PAIR_PAIRS
         strategy = object.__new__(cls)
         vars(strategy).update(

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -147,16 +150,80 @@ def test_correlators_outside_unit_interval_rejected():
 
 
 
+_BOX = nb.p_eps(0.1)
+_CORRELATORS = nb.Correlators(0.5, 0.5, 0.5, -0.5)
+
 # Each numeric parameter of the library, as a call that takes one value, with
-# an int it accepts (None where every int is out of range or infeasible).
+# an int it accepts (None where every int is out of range or infeasible). A
+# number is a Python or numpy int or float, not a bool, that a float holds.
 _NUMERIC_PARAMETERS = {
-    "tol": (lambda v: nb.validate(nb.p_eps(0.1), v), 0),
+    "tol": (lambda v: nb.validate(_BOX, v), 0),
     "fixed_delta": (lambda v: nb.optimize_quantum_distillation(n_max=2, fixed_delta=v), None),
     "eps": (lambda v: nb.p_eps(v), 1),
     "delta": (lambda v: nb.p_eps_delta(0.5, v), 0),
     "eta": (lambda v: nb.isotropic(v), 1),
     "lam": (lambda v: nb.mix(nb.pr(), nb.noise(), v), 0),
+    "Box.entry": (lambda v: nb.nl(nb.Box([[v, 0.0, 0.0, 1.0]] * 4), 1.0), 0),  # tol 1 takes any v in [0, 1]
+    "Correlators.x00": (lambda v: nb.nl_correlators(nb.Correlators(v, 0.5, 0.5, -0.5)), 1),
+    "nl_closed_eps_delta.eps": (lambda v: nb.nl_closed_eps_delta(v, 0.0, 2), 1),
+    "nl_closed_eps_delta.delta": (lambda v: nb.nl_closed_eps_delta(0.5, v, 2), 0),
+    "distillation_report.eps": (lambda v: nb.distillation_report(v, 0.0, [1, 2]), 1),
+    "distillation_report.delta": (lambda v: nb.distillation_report(0.5, v, [1, 2]), 0),
+    "nl.tol": (lambda v: nb.nl(_BOX, v), 0),
+    "mix.tol": (lambda v: nb.mix(nb.pr(), nb.noise(), 0.5, v), 0),
+    "compose_xor.tol": (lambda v: nb.compose_xor(_BOX, 2, v), 0),
+    "compose_wiring2.tol": (lambda v: nb.compose_wiring2(_BOX, nb.Wiring2(nb.xor_strategy(), nb.xor_strategy()), v), 0),
+    "search_2copy.tol": (lambda v: nb.search_2copy(_BOX, v), 0),
+    "play_and_game.tol": (lambda v: nb.play_and_game(_BOX, 2, v), 0),
+    "depolarize.tol": (lambda v: nb.depolarize(_BOX, v), 0),
+    "optimize_quantum_distillation.tol": (lambda v: nb.optimize_quantum_distillation(n_max=2, tol=v), 0),
+    "is_quantum_box.tol": (lambda v: nb.is_quantum_box(_BOX, v), 0),
+    "is_quantum_correlators.tol": (lambda v: nb.is_quantum_correlators(_CORRELATORS, v), 0),
+    "tsirelson_check.tol": (lambda v: nb.tsirelson_check(_CORRELATORS, v), 0),
+    "has_uniform_marginals.tol": (lambda v: nb.quantum.has_uniform_marginals(_BOX, v), 0),
 }
+
+_STRATEGY_MAPS = dict(first_input=(0, 1), second_input=((0, 0), (1, 1)), output=(((0, 1), (1, 0)), ((0, 1), (1, 0))))
+
+# Each integer count of the library, as a call that takes one value, with an
+# int it accepts. An integer is a Python or numpy int, not a bool, in range.
+_INTEGER_PARAMETERS = {
+    "compose_xor.n": (lambda v: nb.compose_xor(_BOX, v), 2),
+    "xor_correlator_law.n": (lambda v: nb.xor_correlator_law(_BOX, v), 2),
+    "distillation_report.n": (lambda v: nb.distillation_report(0.1, 0.0, [v]), 2),
+    "AndGameStrategy.m": (lambda v: nb.and_game_success(nb.AndGameStrategy(_BOX, v)), 2),
+    "play_and_game.m": (lambda v: nb.play_and_game(_BOX, v), 2),
+    "optimize_quantum_distillation.n_max": (lambda v: nb.optimize_quantum_distillation(n_max=v), 2),
+    "nl_closed_eps.n": (lambda v: nb.nl_closed_eps(0.1, v), 2),
+    "nl_closed_eps_delta.n": (lambda v: nb.nl_closed_eps_delta(0.1, 0.02, v), 2),
+    "is_distillable_at.n": (lambda v: nb.is_distillable_at(0.1, 0.0, v), 2),
+    "AdaptiveStrategy.decode": (lambda v: nb.AdaptiveStrategy.decode(v), 4966),
+    "AdaptiveStrategy.order": (lambda v: nb.AdaptiveStrategy(order=v, **_STRATEGY_MAPS), 1),
+    "AdaptiveStrategy.output": (
+        lambda v: nb.AdaptiveStrategy(0, (0, 1), ((0, 0), (1, 1)), (((0, v), (1, 0)), ((0, 1), (1, 0)))), 1
+    ),
+    "deterministic.fa": (lambda v: nb.deterministic((v, 0), (1, 1)), 1),
+}
+
+_HOSTILE = [
+    "0", "0.1", True, False, np.bool_(True), None, math.inf, -math.inf, math.nan, Fraction(1, 10),
+    Decimal("0.1"), np.array(0.1), np.array(2), 10**400, -0.0, 5e-324, 2, np.int64(2), np.uint8(1),
+    np.float64(0.1), np.float32(0.1), np.float16(0.1), [0.1], 1j,
+]
+
+
+def _numbers(answer):
+    """Every number an answer holds, through dataclasses, arrays and tuples."""
+    if dataclasses.is_dataclass(answer):
+        for field in dataclasses.fields(answer):
+            yield from _numbers(getattr(answer, field.name))
+    elif isinstance(answer, np.ndarray):
+        yield from answer.ravel().tolist()
+    elif isinstance(answer, (tuple, list)):
+        for item in answer:
+            yield from _numbers(item)
+    elif not isinstance(answer, str):
+        yield answer
 
 
 @pytest.mark.parametrize("name", sorted(_NUMERIC_PARAMETERS))
@@ -171,3 +238,41 @@ def test_numeric_parameters_reject_non_numbers_and_bools(name):
     # Python and numpy ints and floats in range still work.
     for number in (0.03, np.float64(0.03), np.float32(0.03)) + (() if integer is None else (integer, np.int64(integer))):
         call(number)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(_NUMERIC_PARAMETERS) + sorted(_INTEGER_PARAMETERS))
+def test_hostile_values_give_a_value_error_or_a_finite_answer(name):
+    # The one input contract, over every (entry point, parameter) and every
+    # hostile value: a ValueError (or the optimizer's documented infeasible
+    # result), never a TypeError, an OverflowError, a warning or a NaN.
+    call = {**_NUMERIC_PARAMETERS, **_INTEGER_PARAMETERS}[name][0]
+    for value in _HOSTILE:
+        try:
+            answer = call(value)
+        except (ValueError, nb.InfeasibleRegionError):
+            continue
+        assert all(math.isfinite(x) for x in _numbers(answer)), (value, answer)
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_PARAMETERS))
+def test_integer_counts_take_numpy_ints(name):
+    # A numpy int is the same count as the Python int, and the answer holds
+    # plain ints: its repr and its JSON form are the Python int's.
+    call, count = _INTEGER_PARAMETERS[name]
+    expected = call(count)
+    for value in (np.int64(count), np.int32(count), np.uint16(count)):
+        answer = call(value)
+        assert repr(answer) == repr(expected)
+        if hasattr(answer, "to_json_dict"):
+            assert json.dumps(answer.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
+def test_box_reads_an_ndarray_by_its_dtype():
+    # An ndarray of ints or floats is a table; one of bools, strings, objects
+    # or complex numbers is not, whatever its values.
+    assert nb.validate(nb.Box(np.eye(4, dtype=np.int32)[[0, 0, 0, 0]])).ok
+    assert nb.validate(nb.Box(np.full((4, 4), 0.25, dtype=np.float32))).ok
+    for dtype in (bool, str, object, complex):
+        with pytest.raises(ValueError, match="must hold numbers"):
+            nb.Box(np.full((4, 4), 0.25).astype(dtype))

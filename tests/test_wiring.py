@@ -274,7 +274,7 @@ def test_strategy_encode_decode_round_trip():
     assert type(strat.order) is int and type(strat.output[1][1][0]) is int
     with pytest.raises(ValueError):
         nb.AdaptiveStrategy.decode(1 << 15)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         nb.AdaptiveStrategy.decode(4966.0)  # type: ignore[arg-type]
 
 
