@@ -5,6 +5,10 @@ non-signaling check or ``optimize`` finds no feasible point, 2 on usage
 errors including unreadable or malformed box files. A subcommand reports a
 usage error by raising ``ValueError``; ``run`` prints its message as the
 one stderr line.
+
+Each process runs one subcommand, so each ``_cmd_*`` imports the module it
+calls and this module imports ``boxes`` only: ``chsh`` and ``validate``
+load neither the search nor the optimizer.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import distill, games, quantum, search, symmetry
 from .boxes import (
     DEFAULT_TOL,
+    MAX_OPTIMIZE_N,
+    MAX_XOR_COPIES,
     Correlators,
+    InfeasibleRegionError,
     InvalidBoxError,
     SignalingBoxError,
     _chsh_csv,
@@ -33,7 +39,6 @@ from .boxes import (
     CHSH_LABELS,
     check_tol,
 )
-from .wiring import MAX_XOR_COPIES
 
 
 def _tol(text: str) -> float:
@@ -93,6 +98,8 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
+    from . import quantum
+
     if args.correlators is not None:
         parts = args.correlators.split(",")
         if len(parts) != 4:
@@ -127,6 +134,8 @@ def _cmd_quantum(args) -> int:
 
 
 def _cmd_distill(args) -> int:
+    from . import distill
+
     report = distill.distillation_report(args.eps, args.delta, _parse_range(args.n), args.tol)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -141,6 +150,8 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from . import distill
+
     opt = distill.optimize_quantum_distillation(n_max=args.n_max, tol=args.tol)
     if args.format == "json":
         print(json.dumps(asdict(opt)))
@@ -150,6 +161,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     result = search.search_2copy(load_box(args.box), tol=args.tol)
     if args.format == "table":
         print(f"NL_in  {result.nl_in:.9g}")
@@ -166,11 +179,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_depolarize(args) -> int:
+    from . import symmetry
+
     print(symmetry.depolarize(load_box(args.box), args.tol).to_json())
     return 0
 
 
 def _cmd_game(args) -> int:
+    from . import games
+
     if args.box is not None:
         resource = load_box(args.box)
     elif args.eps is not None:
@@ -226,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distill)
 
     p = sub.add_parser("optimize", help="best quantum-realizable resource for the XOR protocol")
-    p.add_argument("--n-max", type=int, default=20, help=f"largest n scanned, 2..{distill.MAX_OPTIMIZE_N}")
+    p.add_argument("--n-max", type=int, default=20, help=f"largest n scanned, 2..{MAX_OPTIMIZE_N}")
     common(p, fmt=("table", "json"))
     p.set_defaults(func=_cmd_optimize)
 
@@ -259,7 +276,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (InvalidBoxError, SignalingBoxError, distill.InfeasibleRegionError) as exc:
+    except (InvalidBoxError, SignalingBoxError, InfeasibleRegionError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # usage errors: unreadable or malformed box files, bad argument values

@@ -41,8 +41,11 @@ import numpy as np
 
 from .boxes import (
     DEFAULT_TOL,
+    MAX_OPTIMIZE_N,
+    MAX_XOR_COPIES,
     Correlators,
     FamilyParams,
+    InfeasibleRegionError,
     _check_int,
     _check_unit,
     _clean,
@@ -54,7 +57,7 @@ from .boxes import (
     require_non_signaling,
 )
 from .quantum import is_quantum_correlators
-from .wiring import MAX_XOR_COPIES, _xor_powers
+from .wiring import _xor_powers
 
 # Strictness margin for calling a point distillable; keeps boundary points
 # from flipping on rounding noise.
@@ -72,11 +75,6 @@ _REFINE_TO = 1e-8
 # Slack on ``_bound`` before it rules an n row out: it covers pow's ulp-level
 # error, so no row whose value could reach the floor is skipped.
 _BOUND_SLACK = 1e-12
-# Largest n_max the optimizer takes, checked before any array is built. Only
-# the bound runs over every n row, so time and memory still grow linearly in
-# n_max but slowly: 0.036 s and 4.5 MB of extra peak RSS at 1000 on a 2-core
-# Xeon, where the optimum still sits at n = 2.
-MAX_OPTIMIZE_N = 1000
 
 
 def nl_closed_eps(eps: float, n: int) -> float:
@@ -205,10 +203,6 @@ class Optimum:
     delta: float
     nl_in: float
     nl_out: float
-
-
-class InfeasibleRegionError(RuntimeError):
-    """No parameter point satisfies the quantum and distillability constraints."""
 
 
 def _grid(ns: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -174,16 +174,20 @@ def _dedup() -> _Dedup:
     kept = kept[np.argsort(in_v[1, kept].astype(np.int8) - in_v[0, kept], kind="stable")]
     order = np.concatenate([kept, negation[kept]])
     halves = signed[order].astype(float)
-    # A code's half at input 1 is the input-0 half of its input-flipped code.
-    input0_half = np.argsort(order)[key_of]
+    # A code's half at input 0 is that of its input-0 bits, read off a table
+    # over all codes; its half at input 1 is the input-0 half of its
+    # input-flipped code.
+    input0_half = np.zeros(RAW_STRATEGY_COUNT, dtype=np.intp)
+    input0_half[input0_codes] = np.argsort(order)[key_of]
     flipped = _relabel_codes(codes, 1, 0, 0)
-    half_at = [input0_half[np.searchsorted(input0_codes, c & _INPUT0_BITS)] for c in (codes, flipped)]
+    half_at = [input0_half[c & _INPUT0_BITS] for c in (codes, flipped)]
     # A class is a pair of halves; number the classes by smallest code.
     pair = half_at[0] * len(halves) + half_at[1]
     smallest = np.full(len(halves) ** 2, RAW_STRATEGY_COUNT)
     np.minimum.at(smallest, pair, codes)
     rep_of_code = smallest[pair]
-    rep_codes = np.flatnonzero(rep_of_code == codes).astype(np.int32)
+    is_rep = rep_of_code == codes
+    rep_codes = np.flatnonzero(is_rep).astype(np.int32)
     half_of = np.stack([h[rep_codes] for h in half_at], axis=1)
     return _Dedup(
         rep_codes=rep_codes,
@@ -192,7 +196,8 @@ def _dedup() -> _Dedup:
         signed=halves[half_of],
         in_order=(slice(0, int(in_v[0, kept].sum())), slice(len(kept) - int(in_v[1, kept].sum()), len(kept))),
         # Through bytes: tolist() would box 32768 Python ints.
-        class_table=array("H", np.searchsorted(rep_codes, rep_of_code).astype(np.uint16).tobytes()),
+        # A representative's class id is the count of representatives below it.
+        class_table=array("H", (np.cumsum(is_rep) - 1)[rep_of_code].astype(np.uint16).tobytes()),
     )
 
 

@@ -12,13 +12,23 @@ eta = S/4, so S is preserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .boxes import _CORR_SIGNS, CHSH_SIGNS, DEFAULT_TOL, Box, _clean, require_non_signaling, require_valid
+from .boxes import (
+    _CORR_SIGNS,
+    CHSH_SIGNS,
+    DEFAULT_TOL,
+    Box,
+    _clean,
+    _is_bit,
+    _shown,
+    require_non_signaling,
+    require_valid,
+)
 from .wiring import AdaptiveStrategy
 
 
@@ -27,7 +37,8 @@ class Relabeling:
     """One local reversible transform, six flip bits in total.
 
     Alice maps x to x^flip_x and a to a ^ (a_flip_with_x AND x) ^ flip_a;
-    Bob acts the same way on y and b.
+    Bob acts the same way on y and b. Each bit is an int 0 or 1, Python or
+    numpy and not a bool, kept as a plain int; ``ValueError`` otherwise.
     """
 
     flip_x: int
@@ -36,6 +47,13 @@ class Relabeling:
     flip_y: int
     flip_b: int
     b_flip_with_y: int
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            bit = getattr(self, field.name)
+            if not _is_bit(bit):
+                raise ValueError(f"{field.name} must be 0 or 1, got {_shown(bit)}")
+            object.__setattr__(self, field.name, int(bit))
 
     def permutation(self) -> np.ndarray:
         """Flat cell permutation: result.flat[i] = box.flat[perm[i]]."""

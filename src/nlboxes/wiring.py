@@ -21,17 +21,17 @@ import numpy as np
 
 from .boxes import (
     DEFAULT_TOL,
+    MAX_XOR_COPIES,
     Box,
     Correlators,
     _check_int,
     _clean,
     _is_bit,
+    _shown,
     correlators,
     is_non_signaling,
     require_non_signaling,
 )
-
-MAX_XOR_COPIES = 16
 
 
 def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
@@ -137,7 +137,7 @@ class AdaptiveStrategy:
         bits = (self.order, f0, f1, s00, s01, s10, s11, o000, o001, o010, o011, o100, o101, o110, o111)
         for name, bit in zip(_BIT_MAPS, bits):
             if not _is_bit(bit):
-                raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+                raise ValueError(f"{name} must be 0 or 1, got {_shown(bit)}")
         code = sum(int(bit) << 14 - i for i, bit in enumerate(bits))
         vars(self).update(vars(self.decode(code)))
 

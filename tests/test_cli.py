@@ -309,7 +309,7 @@ def test_optimize_without_a_feasible_point_exits_one(monkeypatch, capsys):
     def infeasible(**kwargs):
         raise nb.distill.InfeasibleRegionError("no feasible (eps, delta, n) point")
 
-    monkeypatch.setattr(cli.distill, "optimize_quantum_distillation", infeasible)
+    monkeypatch.setattr(nb.distill, "optimize_quantum_distillation", infeasible)
     assert run(["optimize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

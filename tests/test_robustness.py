@@ -203,6 +203,8 @@ _INTEGER_PARAMETERS = {
         lambda v: nb.AdaptiveStrategy(0, (0, 1), ((0, 0), (1, 1)), (((0, v), (1, 0)), ((0, 1), (1, 0)))), 1
     ),
     "deterministic.fa": (lambda v: nb.deterministic((v, 0), (1, 1)), 1),
+    "Relabeling.flip_x": (lambda v: nb.Relabeling(v, 0, 0, 0, 0, 0), 1),
+    "Relabeling.b_flip_with_y": (lambda v: nb.Relabeling(0, 0, 0, 0, 0, v), 1),
 }
 
 _HOSTILE = [
@@ -266,6 +268,34 @@ def test_integer_counts_take_numpy_ints(name):
         assert repr(answer) == repr(expected)
         if hasattr(answer, "to_json_dict"):
             assert json.dumps(answer.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_PARAMETERS))
+def test_integer_counts_reject_bools_and_ints_out_of_range(name):
+    # True is not taken as 1, and an int out of range is a ValueError before
+    # any table is indexed with it, however many digits it has.
+    call = _INTEGER_PARAMETERS[name][0]
+    for value in (True, False, np.bool_(True), -1, 2**70, 10**5000):
+        with pytest.raises(ValueError):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda v: nb.nl_closed_eps(0.1, v), "n must be an integer >= 1 and <= sys.maxsize"),
+     (lambda v: nb.compose_xor(_BOX, v), "n must be in 1..16"),
+     (lambda v: nb.AdaptiveStrategy.decode(v), "strategy code must be in 0..32767"),
+     (lambda v: nb.AdaptiveStrategy(order=v, **_STRATEGY_MAPS), "order must be 0 or 1"),
+     (lambda v: nb.Relabeling(0, 0, 0, v, 0, 0), "flip_y must be 0 or 1")],
+    ids=["nl_closed_eps", "compose_xor", "decode", "AdaptiveStrategy", "Relabeling"],
+)
+@pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["positive", "negative"])
+def test_an_int_too_long_to_print_is_named_by_its_digits(call, message, value):
+    # Python writes out no int of more than 4300 digits, so the message names
+    # the parameter, its range and the value's size instead.
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{message}, got an int of 5001 digits"
 
 
 def test_box_reads_an_ndarray_by_its_dtype():
