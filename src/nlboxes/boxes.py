@@ -15,7 +15,10 @@ Every input of the package follows one contract, checked here:
 
 - a number (a box entry, a correlator, a tolerance, eps, delta, eta, lam,
   fixed_delta) is a Python or numpy int or float, not a bool, that a float
-  holds (``_check_number``; ``_as_matrix`` for box entries);
+  holds (``_check_number``; ``_as_matrix`` for box entries). Correlators,
+  tolerances (``check_tol``) and the family's eps and delta are kept as the
+  floats their checks return, so a numpy tolerance or correlator gives the
+  answer of its float: no numpy types and no float32 arithmetic;
 - an integer (a copy count, the AND game's depth, ``n_max``, a strategy
   code or bit) is a Python or numpy int, not a bool, in the documented
   range (``_check_int``, ``_is_bit``), and is kept as a plain int.
@@ -158,9 +161,11 @@ class Correlators:
     x11: float
 
     def __post_init__(self) -> None:
-        for value in self.as_tuple():
-            if not math.isfinite(_check_number(value, "correlator")):
+        for name, value in zip(("x00", "x01", "x10", "x11"), self.as_tuple()):
+            number = _check_number(value, "correlator")
+            if not math.isfinite(number):
                 raise ValueError(f"correlator {value!r} is not in [-1, 1]")
+            object.__setattr__(self, name, number)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x00, self.x01, self.x10, self.x11)
@@ -337,6 +342,7 @@ def is_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> NonSignalingCheck:
     Returns the verdict together with the worst marginal discrepancy.
     Raises ``InvalidBoxError`` if the box is not row-stochastic.
     """
+    tol = check_tol(tol)
     require_valid(box, tol)
     alice, bob = _marginals(box)
     # Alice's rows 2x and 2x + 1 differ only in y; Bob's rows y and 2 + y only in x.
@@ -415,6 +421,7 @@ def is_local(box: Box, tol: float = DEFAULT_TOL) -> bool:
     inequalities are a complete description of locality; a signaling box
     raises ``SignalingBoxError``.
     """
+    tol = check_tol(tol)
     require_non_signaling(box, tol)
     return nl_correlators(_correlators(box)) <= 2.0 + tol
 

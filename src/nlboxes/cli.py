@@ -32,7 +32,6 @@ from .boxes import (
     is_non_signaling,
     load_box,
     nl_correlators,
-    p_eps,
     p_eps_delta,
     require_non_signaling,
     validate,
@@ -191,7 +190,7 @@ def _cmd_game(args) -> int:
     if args.box is not None:
         resource = load_box(args.box)
     elif args.eps is not None:
-        resource = p_eps(args.eps) if args.delta is None else p_eps_delta(args.eps, args.delta)
+        resource = p_eps_delta(args.eps, args.delta)
     else:
         raise ValueError("game needs a box file or --eps")
     if not 1 <= args.m <= MAX_XOR_COPIES:
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="distributed AND game win rate of a resource")
     p.add_argument("box", nargs="?")
     p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--m", type=int, default=1, help="XOR pre-distillation depth")
     common(p, fmt=("table", "json"))
     p.set_defaults(func=_cmd_game)

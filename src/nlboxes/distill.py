@@ -177,6 +177,7 @@ def distillation_report(
             f"the XOR closed form holds only for delta <= eps <= 1 - delta, got eps={eps!r}, delta={delta!r}"
         )
     ns = [_check_int(n, "n", 1, MAX_XOR_COPIES) for n in n_values]
+    tol = check_tol(tol)
     require_non_signaling(resource, tol)
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
@@ -313,7 +314,7 @@ def optimize_quantum_distillation(
     number >= 0; a number is a Python or numpy int or float, not a bool.
     """
     n_max = _check_int(n_max, "n_max", 2, MAX_OPTIMIZE_N)
-    check_tol(tol)
+    tol = check_tol(tol)
     if fixed_delta is not None:
         fixed_delta = _check_unit(fixed_delta, "fixed_delta")
 

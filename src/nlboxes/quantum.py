@@ -53,6 +53,7 @@ def is_quantum_correlators(c: Correlators, tol: float = DEFAULT_TOL) -> tuple[bo
     Returns ``(verdict, slack)`` where ``slack`` is the largest absolute
     arcsine combination minus pi; the tuple is quantum iff ``slack <= tol``.
     """
+    tol = check_tol(tol)
     worst = max(abs(v) for v in arcsin_sums(c, tol)) - math.pi
     return worst <= tol, worst
 

@@ -26,8 +26,7 @@ pairs collapse to the one with the smallest encoding; the resulting 6212
 classes are pinned by a digest in the tests. This also removes strategies
 that ignore a box end (the ignored end's marginal is input independent)
 and order swaps of non-adaptive plans. ``behavior_key`` reads a code's
-class off a flat uint16 table over the 32768 codes, not off numpy scalars;
-the numpy readers take a zero-copy view of the same table.
+class off a flat uint16 table over the 32768 codes, not off numpy scalars.
 ``canonical_strategy`` indexes one flat tuple over the 32768 codes that
 holds each code's class representative, and ``enumerate_strategies`` reads
 the representatives out of it at their own codes. The first call of either
@@ -62,20 +61,21 @@ Its largest value over all Bob classes is the larger over o of
 max plus[V_o] + max minus[V_o]: rounded addition is monotone, so over a
 product set the maximum of the sums is the sum of the maxima, bit for bit.
 Negation and abs are exact, so max plus[V_o] is the largest |G u| over the
-slice of V_o, and it is the same for -u. plus depends on an Alice class only
-through u up to sign, and minus only through w up to sign, and the scanned
-Alice classes share columns: 797 classes have 578 distinct u and 420
-distinct w up to sign (499 w before: 79 +- pairs and the zero column). The
-scan builds those 998 columns once per process, in one array with u first,
-takes G c as one matrix product per block of 333 of them, and keeps each
-column's two maxima of |G c| over the slices of V_0 and V_1; an Alice row's
-maximum is gathered from the maxima of its u and w columns. For the winning
-row it reads G u and G w out of the same block products, extends each over
-the 82 halves as (p, -p) times the row's sign over its column, and adds
-plus[h0] + minus[h1] over all 82 x 82 pairs of halves (half at input 0,
-half at input 1). The largest sum over the 6212 pairs that are classes is
-the row maximum bit for bit, so some class always ties with it. The scan
-covers every Bob class, but only some Alice classes:
+slice of V_o, and it is the same for -u. plus depends on an Alice class
+only through u up to sign, and minus only through w up to sign, and the
+scanned Alice classes share columns: 797 classes have 578 distinct u and
+420 distinct w up to sign (499 w before: 79 +- pairs and the zero column).
+The dedup builds those 998 columns, in one array with u first, together
+with the classes: the search has one cached table, built once per process
+on first use. The scan takes G c as one matrix product per block of 333 of
+them, and keeps each column's two maxima of |G c| over the slices of V_0
+and V_1; an Alice row's maximum is gathered from the maxima of its u and w
+columns. For the winning row it reads G u and G w out of the same block
+products, extends each over the 82 halves as (p, -p) times the row's sign
+over its column, and adds plus[h0] + minus[h1] over all 82 x 82 pairs of
+halves (half at input 0, half at input 1). The largest sum over the 6212
+pairs that are classes is the row maximum bit for bit, so some class always
+ties with it. The scan covers every Bob class, but only some Alice classes:
 
 - Each party has 8 local relabelings: flip the input, flip the final bit,
   flip the final bit on input 1. Each maps strategies to strategies, hence
@@ -109,7 +109,7 @@ from itertools import product
 
 import numpy as np
 
-from .boxes import CHSH_SIGNS, DEFAULT_TOL, Box, _correlators, nl_correlators, require_non_signaling
+from .boxes import CHSH_SIGNS, DEFAULT_TOL, Box, _correlators, check_tol, nl_correlators, require_non_signaling
 from .wiring import AdaptiveStrategy, Wiring2, _compose_wiring2
 
 RAW_STRATEGY_COUNT = 1 << 15
@@ -127,6 +127,7 @@ _NS_LEFT_INVERSE = np.array([[1, 0, 0, 0], [-1, 1, 0, 0], [1, -1, 1, 0]], dtype=
 _INPUT0_BITS = 0x6CF0
 
 
+# The search's one table: the classes and halves, and the scan's arrays.
 @dataclass(frozen=True)
 class _Dedup:
     rep_codes: np.ndarray  # class id -> smallest encoding, ascending
@@ -141,9 +142,19 @@ class _Dedup:
     # up V_o, the halves of the codes with that order bit.
     in_order: tuple[slice, slice]
     # Raw code -> class id as a flat uint16 table: Python indexes it in about
-    # a fifth of the time that a numpy scalar lookup takes, and numpy reads it
-    # through ``np.frombuffer`` without a copy.
+    # a fifth of the time that a numpy scalar lookup takes.
     class_table: array
+    # The scan's arrays.
+    alice: np.ndarray  # the scanned Alice classes, each the smallest of its orbit, ascending
+    # The columns u = s0 + s1, then w = s0 - s1, of the scanned Alice classes,
+    # s_x a class's signed half at party input x: each side's distinct columns
+    # up to sign, in one (9, columns) array.
+    columns: np.ndarray
+    column_of: np.ndarray  # (2, scanned Alice row) -> its u column, its w column
+    sign_of: np.ndarray  # (2, scanned Alice row) -> +-1.0: its u and w over those columns
+    # (half at input 0, half at input 1) -> the smallest class of the orbit of
+    # that pair's Bob class, or the class count where the pair is no class.
+    orbit_min_of_pair: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -189,6 +200,15 @@ def _dedup() -> _Dedup:
     is_rep = rep_of_code == codes
     rep_codes = np.flatnonzero(is_rep).astype(np.int32)
     half_of = np.stack([h[rep_codes] for h in half_at], axis=1)
+    # A representative's class id is the count of representatives below it.
+    class_of_code = (np.cumsum(is_rep) - 1)[rep_of_code]
+    # The 8 relabelings form a group, so a class's 8 images are its orbit.
+    orbit_min = np.min([class_of_code[_relabel_codes(rep_codes, *r)] for r in _PARTY_RELABELINGS], axis=0)
+    alice = np.flatnonzero(orbit_min == np.arange(len(orbit_min)))
+    s0, s1 = halves[half_of[alice]].swapaxes(0, 1)  # the scanned classes' signed halves at inputs 0 and 1
+    (u, u_of, u_sign), (w, w_of, w_sign) = map(_distinct_columns, (s0 + s1, s0 - s1))
+    orbit_min_of_pair = np.full((len(halves),) * 2, len(orbit_min))
+    orbit_min_of_pair[half_of[:, 0], half_of[:, 1]] = orbit_min
     return _Dedup(
         rep_codes=rep_codes,
         halves=halves,
@@ -196,8 +216,12 @@ def _dedup() -> _Dedup:
         signed=halves[half_of],
         in_order=(slice(0, int(in_v[0, kept].sum())), slice(len(kept) - int(in_v[1, kept].sum()), len(kept))),
         # Through bytes: tolist() would box 32768 Python ints.
-        # A representative's class id is the count of representatives below it.
-        class_table=array("H", (np.cumsum(is_rep) - 1)[rep_of_code].astype(np.uint16).tobytes()),
+        class_table=array("H", class_of_code.astype(np.uint16).tobytes()),
+        alice=alice,
+        columns=np.ascontiguousarray(np.hstack([u, w])),
+        column_of=np.stack([u_of, u.shape[1] + w_of]),
+        sign_of=np.stack([u_sign, w_sign]),
+        orbit_min_of_pair=orbit_min_of_pair,
     )
 
 
@@ -287,20 +311,6 @@ def _half_functionals(box: Box) -> np.ndarray:
     return halves[:len(halves) // 2] @ _box_coordinates(box).T
 
 
-@dataclass(frozen=True)
-class _Scan:
-    alice: np.ndarray  # the scanned Alice classes, each the smallest of its orbit, ascending
-    # The columns u = s0 + s1, then w = s0 - s1, of the scanned Alice classes,
-    # s_x a class's signed half at party input x: each side's distinct columns
-    # up to sign, in one (9, columns) array.
-    columns: np.ndarray
-    column_of: np.ndarray  # (2, scanned Alice row) -> its u column, its w column
-    sign_of: np.ndarray  # (2, scanned Alice row) -> +-1.0: its u and w over those columns
-    # (half at input 0, half at input 1) -> the smallest class of the orbit of
-    # that pair's Bob class, or the class count where the pair is no class.
-    orbit_min_of_pair: np.ndarray
-
-
 def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows up to sign of a small-integer (n, 9) array, as
     (9, distinct) columns, with each row's column and sign: a row is its sign
@@ -315,30 +325,6 @@ def _distinct_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     keys = digits @ (int(digits.max()) + 1) ** np.arange(rows.shape[1])
     _, first, column_of = np.unique(keys, return_index=True, return_inverse=True)
     return rows[first].T, column_of, sign
-
-
-@lru_cache(maxsize=1)
-def _scan() -> _Scan:
-    """Built on the first search, not with the dedup, so the cold dedup
-    stays as it is."""
-    dedup = _dedup()
-    class_of_code = np.frombuffer(dedup.class_table, np.uint16)
-    # The 8 relabelings form a group, so a class's 8 images are its orbit.
-    orbit_min = np.min([class_of_code[_relabel_codes(dedup.rep_codes, *r)] for r in _PARTY_RELABELINGS], axis=0)
-    alice = np.flatnonzero(orbit_min == np.arange(len(orbit_min)))
-    signed = dedup.signed[alice]
-    (u, u_of, u_sign), (w, w_of, w_sign) = map(
-        _distinct_columns, (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
-    )
-    orbit_min_of_pair = np.full((len(dedup.halves),) * 2, len(orbit_min))
-    orbit_min_of_pair[dedup.half_of[:, 0], dedup.half_of[:, 1]] = orbit_min
-    return _Scan(
-        alice,
-        np.ascontiguousarray(np.hstack([u, w])),
-        np.stack([u_of, u.shape[1] + w_of]),
-        np.stack([u_sign, w_sign]),
-        orbit_min_of_pair,
-    )
 
 
 # Columns per block product. Each (41, columns) product, 109,224 B at 333
@@ -371,24 +357,24 @@ def _column_maxima(g: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_max(g: np.ndarray, scan: _Scan) -> np.ndarray:
+def _row_max(g: np.ndarray, dedup: _Dedup) -> np.ndarray:
     """Largest S of each scanned Alice row over all Bob classes, the larger
     over o of max plus[V_o] + max minus[V_o]; equal bit for bit to the
     largest of the row's ``_pair_values`` that are classes."""
-    maxima = _column_maxima(g, scan.columns)
-    u, w = scan.column_of
+    maxima = _column_maxima(g, dedup.columns)
+    u, w = dedup.column_of
     return np.maximum(maxima[0, u] + maxima[0, w], maxima[1, u] + maxima[1, w])
 
 
-def _pair_values(g: np.ndarray, scan: _Scan, row: int) -> np.ndarray:
+def _pair_values(g: np.ndarray, dedup: _Dedup, row: int) -> np.ndarray:
     """S of one scanned Alice row against every pair of halves (h0, h1),
     plus[h0] + minus[h1], (82, 82). The pairs (half_of[c, 0], half_of[c, 1])
     are the Bob classes c. Half h + 41 is -(half h), so over all 82 halves a
     row's plus is (p, -p) times its u sign, for p = G c of its u column c,
     and minus likewise."""
     terms = []
-    for i, sign in zip(scan.column_of[:, row].tolist(), scan.sign_of[:, row].tolist()):
-        p = _block_product(g, scan.columns, i - i % _ROW_BLOCK)[:, i % _ROW_BLOCK] * sign
+    for i, sign in zip(dedup.column_of[:, row].tolist(), dedup.sign_of[:, row].tolist()):
+        p = _block_product(g, dedup.columns, i - i % _ROW_BLOCK)[:, i % _ROW_BLOCK] * sign
         terms.append(np.concatenate((p, -p)))
     plus, minus = terms
     return plus[:, None] + minus
@@ -406,10 +392,10 @@ class SearchResult:
     tol: float = DEFAULT_TOL  # the tolerance the search ran under
     # Where the time went, in seconds, and how much was scanned. These stay
     # out of the JSON form, which is pinned.
-    # Input checks, cached tables, box coordinates, G over the halves. In a
-    # fresh process the first call builds the cached tables (the dedup, and
-    # the scan's orbits and distinct Alice columns), which is most of the
-    # ~12 ms kernel of a CLI search.
+    # Input checks, the cached table, box coordinates, G over the halves. In
+    # a fresh process the first call builds the one cached table (the classes
+    # and halves, the orbits and the distinct Alice columns), which is most
+    # of the ~12 ms kernel of a CLI search.
     kernel_s: float = 0.0
     scan_s: float = 0.0  # block products and column maxima per block of Alice columns distinct up to sign, and the tie-break
     verify_s: float = 0.0  # re-verification through the reference composer
@@ -457,20 +443,20 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     encodings, so results are identical run to run.
     """
     started = time.perf_counter()
+    tol = check_tol(tol)
     require_non_signaling(box, tol)
     nl_in = nl_correlators(_correlators(box))
 
     dedup = _dedup()
-    scan = _scan()
     g = _half_functionals(box)
     kernel_done = time.perf_counter()
 
-    row_max = _row_max(g, scan)
+    row_max = _row_max(g, dedup)
     best_val = float(row_max.max())
     near = best_val - _NEAR_MAX
     row = int(np.argmax(row_max >= near))
-    best_si = int(scan.alice[row])
-    best_ti = int(scan.orbit_min_of_pair[_pair_values(g, scan, row) >= near].min())
+    best_si = int(dedup.alice[row])
+    best_ti = int(dedup.orbit_min_of_pair[_pair_values(g, dedup, row) >= near].min())
     scan_done = time.perf_counter()
 
     wiring = Wiring2(
@@ -496,6 +482,6 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
         kernel_s=kernel_done - started,
         scan_s=scan_done - kernel_done,
         verify_s=finished - scan_done,
-        alice_rows_scanned=len(scan.alice),
-        pairs_scanned=len(scan.alice) * len(dedup.rep_codes),
+        alice_rows_scanned=len(dedup.alice),
+        pairs_scanned=len(dedup.alice) * len(dedup.rep_codes),
     )

@@ -28,6 +28,7 @@ from .boxes import (
     _clean,
     _is_bit,
     _shown,
+    check_tol,
     correlators,
     is_non_signaling,
     require_non_signaling,
@@ -248,6 +249,7 @@ def compose_wiring2(box: Box, wiring: Wiring2, tol: float = DEFAULT_TOL) -> Box:
     moves a row sum by at most 4 tol more and a marginal by 2 tol. At ``tol``
     0 only rounding is left.
     """
+    tol = check_tol(tol)
     require_non_signaling(box, tol)
     return _compose_wiring2(box, wiring, tol)
 

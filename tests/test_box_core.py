@@ -162,6 +162,19 @@ def test_chsh_values_structure():
     assert max(vals) == 4.0
 
 
+def test_correlators_keep_plain_floats():
+    # Each field is the float its check returns, as in FamilyParams: ints and
+    # numpy floats become Python floats, so NL is computed in float64 and is a
+    # float; a Python float keeps its bits.
+    for values in ((1, 1, 1, -1), tuple(np.float32([0.7, 0.7, 0.7, -0.7])), (0.1, np.float64(0.2), np.int64(0), -0.3)):
+        c = nb.Correlators(*values)
+        assert [type(v) for v in c.as_tuple()] == [float] * 4
+        assert c.as_tuple() == tuple(float(v) for v in values)
+    assert repr(nb.nl_correlators(nb.Correlators(1, 1, 1, -1))) == "4.0"
+    nl = nb.nl_correlators(nb.Correlators(*np.float32([0.7, 0.7, 0.7, -0.7])))
+    assert type(nl) is float and nl == 2.799999952316284
+
+
 def test_nl_bounded_by_four_on_random_valid_boxes(rng):
     for _ in range(1000):
         assert nb.nl(random_valid_box(rng)) <= 4.0 + TOL

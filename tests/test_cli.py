@@ -254,6 +254,19 @@ def test_game_eps_resource(capsys):
     assert payload["classical_baseline"] == 0.75
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_game_eps_is_p_eps_delta_at_delta_zero(fmt, capsys):
+    # --delta defaults to 0, and p_eps_delta(eps, 0) is p_eps(eps), bit for bit.
+    assert np.array_equal(nb.p_eps_delta(0.3, 0.0).matrix, nb.p_eps(0.3).matrix)
+    outputs = []
+    for extra in ([], ["--delta", "0"]):
+        assert run(["game", "--eps", "0.3", "--m", "4", "--format", fmt, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if fmt == "json":
+        assert json.loads(outputs[0]) == nb.play_and_game(nb.p_eps(0.3), 4).to_json_dict()
+
+
 def test_game_box_file(pr_file, capsys):
     assert run(["game", pr_file]) == 0
     out = capsys.readouterr().out

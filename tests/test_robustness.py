@@ -306,3 +306,57 @@ def test_box_reads_an_ndarray_by_its_dtype():
     for dtype in (bool, str, object, complex):
         with pytest.raises(ValueError, match="must hold numbers"):
             nb.Box(np.full((4, 4), 0.25).astype(dtype))
+
+
+# Each entry point that takes a tolerance, as a call that takes one value:
+# those above, and the rest of the public ones. The isotropic box and
+# p_eps(2.5e-8) sit 1e-7 and 5e-8 above NL 2, where float32 arithmetic on a
+# 1e-9 tolerance gives the other verdict.
+_TOLERANCE_CALLS = {
+    **{name: call for name, (call, _) in _NUMERIC_PARAMETERS.items() if name == "tol" or name.endswith(".tol")},
+    "correlators.tol": lambda v: nb.correlators(_BOX, v),
+    "chsh_csv.tol": lambda v: nb.chsh_csv(_BOX, v),
+    "is_non_signaling.tol": lambda v: nb.is_non_signaling(_BOX, v),
+    "is_local.tol": lambda v: nb.is_local(nb.isotropic((2 + 1e-7) / 4), v),
+    "xor_correlator_law.tol": lambda v: nb.xor_correlator_law(_BOX, 2, v),
+    "search_2copy.distilled": lambda v: nb.search_2copy(nb.p_eps(2.5e-8), v).distilled,
+    "and_game_success.tol": lambda v: nb.and_game_success(nb.AndGameStrategy(_BOX, 2), v),
+    "and_game_success_closed.tol": lambda v: nb.and_game_success_closed(nb.AndGameStrategy(_BOX, 2), v),
+    "distillation_report.tol": lambda v: nb.distillation_report(0.1, 0.0, [1, 2], v),
+    "arcsin_sums.tol": lambda v: nb.arcsin_sums(_CORRELATORS, v),
+}
+
+# Fields that differ from run to run.
+_TIMINGS = {"wall_time_s", "kernel_s", "scan_s", "verify_s"}
+
+
+def _typed_leaves(answer):
+    """(type, value) of every value an answer holds, through dataclasses,
+    named tuples, arrays and tuples, timings left out."""
+    if dataclasses.is_dataclass(answer):
+        for field in dataclasses.fields(answer):
+            if field.name not in _TIMINGS:
+                yield from _typed_leaves(getattr(answer, field.name))
+    elif isinstance(answer, np.ndarray):
+        yield answer.dtype, answer.tolist()
+    elif isinstance(answer, (tuple, list)):
+        for item in answer:
+            yield from _typed_leaves(item)
+    else:
+        yield type(answer), answer
+
+
+@pytest.mark.parametrize("tol", [np.float32(1e-9), np.float64(1e-9), np.int64(0)], ids=repr)
+def test_a_numpy_tolerance_gives_the_answer_of_its_float(tol):
+    # Every entry point computes with the float that ``check_tol`` returns:
+    # the same values of the same types as for float(tol), so no float32
+    # arithmetic and no numpy bool in a verdict, and the JSON form serialises.
+    answers = {name: call(tol) for name, call in _TOLERANCE_CALLS.items()}
+    differ = [
+        (name, answers[name], call(float(tol)))
+        for name, call in _TOLERANCE_CALLS.items()
+        if list(_typed_leaves(answers[name])) != list(_typed_leaves(call(float(tol))))
+    ]
+    assert not differ, differ
+    for answer in answers.values():
+        json.dumps(answer.to_json_dict() if hasattr(answer, "to_json_dict") else [v for _, v in _typed_leaves(answer)])

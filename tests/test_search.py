@@ -300,7 +300,7 @@ def test_signed_halves_split_by_order_bit():
     assert pairs == set(product(v0, v0)) | set(product(v1, v1))
     # The scan's table of half pairs holds each class's orbit minimum at the
     # class's pair, and the class count, above every class id, at the others.
-    orbit_min_of_pair = search._scan().orbit_min_of_pair
+    orbit_min_of_pair = search._dedup().orbit_min_of_pair
     is_class = np.zeros((82, 82), dtype=bool)
     is_class[dedup.half_of[:, 0], dedup.half_of[:, 1]] = True
     assert orbit_min_of_pair.shape == (82, 82) and np.count_nonzero(is_class) == 6212
@@ -313,7 +313,7 @@ def test_scan_columns_are_the_distinct_alice_columns():
     # distinct w = s0 - s1. Up to sign the w are 420: 79 +- pairs and the
     # zero column. The scan keeps the u columns, then the w columns, and each
     # row points at its own two columns with its sign over each.
-    dedup, scan = search._dedup(), search._scan()
+    dedup, scan = search._dedup(), search._dedup()
     signed = dedup.signed[scan.alice]
     sides = (signed[:, 0] + signed[:, 1], signed[:, 0] - signed[:, 1])
     assert [len({tuple(r) for r in rows.tolist()}) for rows in sides] == [578, 499]
@@ -378,8 +378,8 @@ def test_chsh_stabilizer_covers_every_alice_relabeling():
     # The scanned Alice classes are the orbit minima, one per orbit.
     orbit_min = _orbit_min()
     assert np.array_equal(orbit_min[orbit_min], orbit_min) and np.all(orbit_min <= np.arange(6212))
-    assert np.array_equal(search._scan().alice, np.flatnonzero(orbit_min == np.arange(6212)))
-    assert len(search._scan().alice) == 797
+    assert np.array_equal(search._dedup().alice, np.flatnonzero(orbit_min == np.arange(6212)))
+    assert len(search._dedup().alice) == 797
 
 
 @pytest.mark.parametrize("alice_flips", search._PARTY_RELABELINGS)
@@ -497,7 +497,7 @@ def test_search_matches_dense_eight_functional_scan(box):
     ids=["p_eps(0.1)", "p_eps_delta(0.3,0.02)", "isotropic(0.8)", "noise", "random_ns", "random_nonlocal"],
 )
 def test_separable_rows_match_the_18_coordinate_rows(box):
-    dedup, scan = search._dedup(), search._scan()
+    dedup, scan = search._dedup(), search._dedup()
     reps = scan.alice
     g = search._half_functionals(box)
     row_max = search._row_max(g, scan)
@@ -540,7 +540,7 @@ def test_blocked_row_max_matches_unblocked(count):
     # against the same maxima over all 82 halves and each class's own columns.
     (u, u_of, u_sign), (w, w_of, w_sign) = map(search._distinct_columns, sides)
     scan = dataclasses.replace(
-        search._scan(), columns=np.hstack([u, w]), column_of=np.stack([u_of, u.shape[1] + w_of]),
+        search._dedup(), columns=np.hstack([u, w]), column_of=np.stack([u_of, u.shape[1] + w_of]),
         sign_of=np.stack([u_sign, w_sign]),
     )
     plus, minus = (g_all @ rows.T for rows in sides)
@@ -572,7 +572,7 @@ def _bob_row(box: nb.Box, row: int) -> np.ndarray:
     Alice row against every Bob class, in class order, gathered per class
     out of the product of G over all 82 halves with the row's own columns."""
     dedup = search._dedup()
-    s0, s1 = dedup.signed[search._scan().alice[row]]
+    s0, s1 = dedup.signed[search._dedup().alice[row]]
     g_all = _all_half_functionals(box)
     return (g_all @ (s0 + s1))[dedup.half_of[:, 0]] + (g_all @ (s0 - s1))[dedup.half_of[:, 1]]
 
@@ -582,7 +582,7 @@ def _oracle_scan(box: nb.Box) -> tuple[np.ndarray, tuple[int, int]]:
     halves, with R from np.kron: an Alice row's plus = H[s0] + H[s1] and
     minus = H[s0] - H[s1], maxima per order bit along each row. Returns the
     row maxima of the scanned Alice classes and the winning class pair."""
-    dedup, alice = search._dedup(), search._scan().alice
+    dedup, alice = search._dedup(), search._dedup().alice
     h = dedup.halves @ _kron_coordinates(box) @ dedup.halves.T
     s0, s1 = dedup.half_of[alice].T
     plus, minus = h[s0] + h[s1], h[s0] - h[s1]
@@ -656,7 +656,7 @@ def _winning_pairs(boxes: list[nb.Box]) -> np.ndarray:
 def test_block_product_scan_matches_the_h_gather_oracle():
     corpus = _search_corpus(16, 520)
     assert {kind for kind, _ in corpus} == {*_CORPUS_KINDS, "p_eps(1/3)", "noise", "pr"}
-    dedup, scan, orbit_min = search._dedup(), search._scan(), _orbit_min()
+    dedup, scan, orbit_min = search._dedup(), search._dedup(), _orbit_min()
     pairs = _winning_pairs([box for _, box in corpus])
     for (kind, box), pair in zip(corpus, pairs.tolist()):
         oracle_max, oracle_pair = _oracle_scan(box)
