@@ -188,9 +188,11 @@ def _cmd_game(args) -> int:
     from . import games
 
     if args.box is not None:
+        if args.eps is not None or args.delta is not None:
+            raise ValueError("game takes a box file or --eps/--delta, not both")
         resource = load_box(args.box)
     elif args.eps is not None:
-        resource = p_eps_delta(args.eps, args.delta)
+        resource = p_eps_delta(args.eps, 0.0 if args.delta is None else args.delta)
     else:
         raise ValueError("game needs a box file or --eps")
     if not 1 <= args.m <= MAX_XOR_COPIES:
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="distributed AND game win rate of a resource")
     p.add_argument("box", nargs="?")
     p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=float)
     p.add_argument("--m", type=int, default=1, help="XOR pre-distillation depth")
     common(p, fmt=("table", "json"))
     p.set_defaults(func=_cmd_game)

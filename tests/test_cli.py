@@ -227,6 +227,23 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert json.loads(done.stdout)["nl_out"] == pytest.approx(2.36, abs=1e-9)
 
 
+def test_validate_reports_an_overflowing_row_sum_with_nothing_on_stderr(tmp_path):
+    # A numpy sum of the first row overflows and warns on stderr.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"matrix": [[1e308, 1e308, 0, 0]] + [[0.25] * 4] * 3}))
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nlboxes", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "invalid box:",
+        "row xy=00 col ab=00: entry exceeds 1 (residual 1e+308)",
+        "row xy=00 col ab=01: entry exceeds 1 (residual 1e+308)",
+        "row xy=00: row sum != 1 (residual inf)",
+    ]
+    assert done.stderr == ""
+
+
 def test_search_json(tmp_path, capsys):
     path = tmp_path / "iso.json"
     path.write_text(nb.isotropic(0.6).to_json())
@@ -275,6 +292,14 @@ def test_game_box_file(pr_file, capsys):
 
 def test_game_without_resource_exits_two(capsys):
     assert run(["game"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--eps", "0.3"], ["--delta", "0.1"], ["--eps", "0.3", "--delta", "0.1"]])
+def test_game_box_file_with_eps_or_delta_exits_two(flags, pr_file, capsys):
+    assert run(["game", pr_file, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "game takes a box file or --eps/--delta, not both\n"
 
 
 def test_game_depth_cap(capsys):

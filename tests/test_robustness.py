@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -73,6 +74,44 @@ def test_validate_matches_entrywise_reference(entries, tol):
     assert [g[:2] for g in got] == [e[:2] for e in expected]
     for g, e in zip(got, expected):
         assert g[2] == e[2] or (math.isnan(g[2]) and math.isnan(e[2]))
+
+
+def _hostile_rows(tol: float) -> dict[str, list[float]]:
+    """Rows at the edges of the report: a finite row whose sum overflows,
+    both infinities, NaN, signed zeros, the smallest subnormal of each sign
+    and an entry of exactly 1 + tol."""
+    return {
+        "sum overflows": [1e308, 1e308, 0.0, 0.0],
+        "+inf and -inf": [math.inf, -math.inf, 0.5, 0.5],
+        "nan": [math.nan, 0.25, 0.25, 0.5],
+        "-0.0": [-0.0, 0.5, 0.5, -0.0],
+        "5e-324": [5e-324, 0.5, 0.5, 0.0],
+        "-5e-324": [-5e-324, 0.5, 0.5, 0.0],
+        "1 + tol": [1.0 + tol, 0.0, 0.0, 0.0],
+    }
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.5])
+def test_validate_matches_entrywise_reference_on_hostile_rows(tol):
+    named = _hostile_rows(tol)
+    rows = list(named.values())
+    # Each row at each position among uniform rows, then each run of four
+    # consecutive hostile rows (cyclically) as one box.
+    matrices = [[row if r == at else [0.25] * 4 for r in range(4)] for row in rows for at in range(4)]
+    matrices += [[rows[(i + r) % len(rows)] for r in range(4)] for i in range(len(rows))]
+    for matrix in matrices:
+        box = nb.Box(matrix)
+        with np.errstate(over="ignore"):  # the reference's numpy row sum warns on overflow
+            expected = _reference_validate(box, tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # validate itself prints nothing on stderr
+            report = nb.validate(box, tol)
+        assert report.ok == (not expected), matrix
+        got = _as_tuples(report)
+        assert [g[:2] for g in got] == [e[:2] for e in expected], matrix
+        assert [g[2].hex() for g in got] == [e[2].hex() for e in expected], matrix
+    overflow = nb.validate(nb.Box([named["sum overflows"]] + [[0.25] * 4] * 3), tol)
+    assert _as_tuples(overflow)[-1] == ("row xy=00", "row sum != 1", math.inf)
 
 
 @settings(max_examples=60, deadline=None)
