@@ -297,19 +297,16 @@ def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
     infinite entry is a violation of its own, and its row sum is not
     checked. Raises ``ValueError`` for a negative or non-finite ``tol``.
 
-    A box that fails the numpy fast accept gets its report from one pass
-    over its entries as Python floats, row by row in column order. Python
-    float arithmetic raises no numpy warning, so a row whose sum overflows
-    is reported with residual inf and nothing on stderr.
+    Every box, valid or not, is judged by one pass over its entries as
+    Python floats, row by row in column order. It is the only path and
+    calls no numpy function. A row is summed as ((a + b) + c) + d, the
+    order of numpy's ``add.reduce`` on 4 entries. Python float arithmetic
+    raises no warning, so a row whose sum overflows is reported with
+    residual inf at any ``tol``, and nothing is written on stderr.
     """
     tol = check_tol(tol)
-    m = box.matrix
-    # Fast accept; min and max propagate NaN, so a non-finite entry falls through.
-    if -tol <= np.minimum.reduce(m, axis=None) and np.maximum.reduce(m, axis=None) <= 1.0 + tol:
-        if np.maximum.reduce(np.abs(np.add.reduce(m, axis=1) - 1.0)) <= tol:
-            return ValidationReport(())
     violations: list[Violation] = []
-    for xy, row in zip(XY_LABELS, m.tolist()):
+    for xy, row in zip(XY_LABELS, box.matrix.tolist()):
         for ab, v in zip(AB_LABELS, row):
             if not -tol <= v <= 1.0 + tol:  # NaN fails both comparisons
                 where = f"row xy={xy} col ab={ab}"
@@ -319,8 +316,7 @@ def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
                     violations.append(Violation(where, "negative entry", -v))
                 else:
                     violations.append(Violation(where, "entry exceeds 1", v - 1.0))
-        # numpy's add.reduce sums a 4-entry row in this order, so the residual
-        # has the fast accept's bits.
+        # numpy's order: a residual has the bits of abs(box.matrix.sum(axis=1) - 1.0).
         off = abs(((row[0] + row[1]) + row[2]) + row[3] - 1.0)
         if off > tol and all(map(math.isfinite, row)):
             violations.append(Violation(f"row xy={xy}", "row sum != 1", off))

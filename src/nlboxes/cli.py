@@ -100,6 +100,8 @@ def _cmd_quantum(args) -> int:
     from . import quantum
 
     if args.correlators is not None:
+        if args.box is not None:
+            raise ValueError("quantum takes a box file or --correlators, not both")
         parts = args.correlators.split(",")
         if len(parts) != 4:
             raise ValueError("--correlators needs four comma-separated values")

@@ -14,6 +14,7 @@ interleave their queries, so no global schedule is needed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -273,8 +274,11 @@ def _trace_offsets(strategy: AdaptiveStrategy, scale: int) -> list[list[tuple[in
 
 def _composite_tol(tol: float) -> float:
     """The tolerance a two-copy composite is checked at, for an input checked
-    at ``tol``: the bound derived in ``compose_wiring2``, plus rounding."""
-    return 12.0 * tol * (1.0 + 10.0 * tol) + 64 * 2.0**-52
+    at ``tol``: the bound derived in ``compose_wiring2``, plus rounding. Above
+    a ``tol`` of about 1.2e153 the bound overflows and is taken as the largest
+    float, a tolerance that still refuses NaN and infinite entries and row
+    sums that overflow."""
+    return min(12.0 * tol * (1.0 + 10.0 * tol) + 64 * 2.0**-52, sys.float_info.max)
 
 
 def _compose_wiring2(box: Box, wiring: Wiring2, tol: float) -> Box:

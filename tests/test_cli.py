@@ -302,6 +302,13 @@ def test_game_box_file_with_eps_or_delta_exits_two(flags, pr_file, capsys):
     assert captured.err == "game takes a box file or --eps/--delta, not both\n"
 
 
+def test_quantum_box_file_with_correlators_exits_two(pr_file, capsys):
+    assert run(["quantum", pr_file, "--correlators", "0.5,0.5,0.5,-0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "quantum takes a box file or --correlators, not both\n"
+
+
 def test_game_depth_cap(capsys):
     assert run(["game", "--eps", "0.1", "--m", "99"]) == 2
 

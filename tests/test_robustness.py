@@ -91,7 +91,7 @@ def _hostile_rows(tol: float) -> dict[str, list[float]]:
     }
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.5])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.5, 1e308])
 def test_validate_matches_entrywise_reference_on_hostile_rows(tol):
     named = _hostile_rows(tol)
     rows = list(named.values())
@@ -112,6 +112,71 @@ def test_validate_matches_entrywise_reference_on_hostile_rows(tol):
         assert [g[2].hex() for g in got] == [e[2].hex() for e in expected], matrix
     overflow = nb.validate(nb.Box([named["sum overflows"]] + [[0.25] * 4] * 3), tol)
     assert _as_tuples(overflow)[-1] == ("row xy=00", "row sum != 1", math.inf)
+
+
+def _numpy_accepts(box: nb.Box, tol: float) -> bool:
+    """The numpy accept test ``validate`` ran before its scalar pass became
+    its only path, kept here as an oracle."""
+    m = box.matrix
+    if -tol <= np.minimum.reduce(m, axis=None) and np.maximum.reduce(m, axis=None) <= 1.0 + tol:
+        return bool(np.maximum.reduce(np.abs(np.add.reduce(m, axis=1) - 1.0)) <= tol)
+    return False
+
+
+def _sum_edge(head: list[float], side: float, tol: float) -> tuple[float, float]:
+    """The last entry that keeps a row starting with ``head`` within ``tol``
+    of sum 1 on ``side`` (+1 above, -1 below), and the entry one ulp past it.
+    Found by galloping from 1 - sum(head), which makes the sum exactly 1."""
+    h = (head[0] + head[1]) + head[2]
+
+    def inside(d: float) -> bool:
+        return abs(h + d - 1.0) <= tol
+
+    d = 1.0 - h
+    step = math.ulp(d)
+    while inside(d + side * step):
+        d += side * step
+        step *= 2.0
+    while step >= math.ulp(d):
+        if inside(d + side * step):
+            d += side * step
+        step /= 2.0
+    past = math.nextafter(d, side * math.inf)
+    while inside(past):
+        d, past = past, math.nextafter(past, side * math.inf)
+    return d, past
+
+
+def _boundary_rows(rng: np.random.Generator, tol: float) -> list[list[float]]:
+    """Rows at the edges of acceptance at ``tol``: an entry of exactly -tol
+    or 1 + tol or one ulp beyond, the rest rescaled to sum 1; and rows whose
+    sum is as far as ``tol`` allows from 1, or one ulp further."""
+    rows = []
+    for edge in (-tol, 1.0 + tol, math.nextafter(-tol, -math.inf), math.nextafter(1.0 + tol, math.inf)):
+        rest = (rng.dirichlet(np.ones(3)) * (1.0 - edge)).tolist()
+        rest.insert(int(rng.integers(4)), edge)
+        rows.append(rest)
+    head = rng.dirichlet(np.ones(4))[:3].tolist()
+    for side in (1.0, -1.0):
+        rows += [head + [d] for d in _sum_edge(head, side, tol)]
+    return rows
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.5])
+def test_validate_accepts_as_the_numpy_test_did_on_boundary_boxes(tol):
+    rng = np.random.default_rng(3100)
+    accepted = 0
+    for _ in range(500):
+        pool = _boundary_rows(rng, tol) + rng.dirichlet(np.ones(4), size=4).tolist()
+        box = nb.Box([pool[i] for i in rng.integers(len(pool), size=4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = nb.validate(box, tol)
+        assert report.ok == _numpy_accepts(box, tol), box.matrix.tolist()
+        expected = _reference_validate(box, tol)
+        assert [(w, c, r.hex()) for w, c, r in _as_tuples(report)] == [(w, c, r.hex()) for w, c, r in expected]
+        accepted += report.ok
+    assert 25 <= accepted <= 475, accepted
 
 
 @settings(max_examples=60, deadline=None)

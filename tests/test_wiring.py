@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import sys
 from itertools import product
 
 import numpy as np
@@ -369,3 +370,14 @@ def test_composite_check_holds_on_a_box_only_within_tol(tol):
 def test_composite_tol_is_rounding_at_tol_0():
     assert wiring_module._composite_tol(0.0) == 64 * 2.0**-52
     assert wiring_module._composite_tol(1e-9) == pytest.approx(12e-9, rel=1e-6)
+
+
+def test_composite_tol_saturates_at_the_largest_float():
+    assert wiring_module._composite_tol(1e200) == sys.float_info.max
+    assert wiring_module._composite_tol(sys.float_info.max) == sys.float_info.max
+    resource = nb.p_eps(0.1)
+    xor = nb.Wiring2(nb.xor_strategy(), nb.xor_strategy())
+    huge = nb.compose_wiring2(resource, xor, 1e200).matrix
+    assert huge.tobytes() == nb.compose_wiring2(resource, xor, 1e-9).matrix.tobytes()
+    result = nb.search_2copy(resource, 1e200)
+    assert (result.wiring.alice.encode(), result.wiring.bob.encode()) == (4966, 4966)
