@@ -355,20 +355,22 @@ def require_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> None:
         raise SignalingBoxError(f"box is signaling: worst marginal discrepancy {check.residual:.3g}")
 
 
-# (-1)**(a XOR b) over the output pairs ab.
-_CORR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+def _correlator_rows(m: np.ndarray) -> list:
+    """The correlator of each row (a, b, c, d) = (P(00), P(01), P(10), P(11))
+    along the last axis of a (4, 4) box matrix or a (k, 4, 4) stack, as
+    Python floats: a list of four, or k lists of four.
+
+    Each is summed as (a - c) + (d - b) with elementwise float operations
+    and no matrix product, so the bits follow this one order and do not
+    depend on the BLAS numpy links.
+    """
+    return ((m[..., 0] - m[..., 2]) + (m[..., 3] - m[..., 1])).tolist()
 
 
 def _correlators(box: Box) -> Correlators:
-    """``correlators`` of a box the caller has already checked."""
-    vals = box.matrix @ _CORR_SIGNS
-    return Correlators(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
-
-
-def _correlator_rows(stack: np.ndarray) -> list[list[float]]:
-    """The correlators of each matrix in a (k, 4, 4) stack, as Python floats:
-    for each matrix, the bits ``_correlators`` gives its box."""
-    return (stack @ _CORR_SIGNS).tolist()
+    """``correlators`` of a box the caller has already checked, summed row
+    by row in ``_correlator_rows``'s order."""
+    return Correlators(*_correlator_rows(box.matrix))
 
 
 def correlators(box: Box, tol: float = DEFAULT_TOL) -> Correlators:

@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when a box fails validation or the
 non-signaling check or ``optimize`` finds no feasible point, 2 on usage
 errors including unreadable or malformed box files. A subcommand reports a
 usage error by raising ``ValueError``; ``run`` prints its message as the
-one stderr line.
+one stderr line. Tolerance errors take the same path: ``--tol`` is parsed
+as a float and ``run`` checks it with ``check_tol`` before dispatch.
 
 Each process runs one subcommand, so each ``_cmd_*`` imports the module it
 calls and this module imports ``boxes`` only: ``chsh`` and ``validate``
@@ -38,13 +39,6 @@ from .boxes import (
     CHSH_LABELS,
     check_tol,
 )
-
-
-def _tol(text: str) -> float:
-    try:
-        return check_tol(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_range(text: str) -> range:
@@ -219,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, fmt=("table", "csv", "json")) -> None:
-        p.add_argument("--tol", type=_tol, default=DEFAULT_TOL, help="global numeric tolerance")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="global numeric tolerance")
         p.add_argument("--format", choices=fmt, default=fmt[0])
 
     p = sub.add_parser("validate", help="check a box file for validity and non-signaling")
     p.add_argument("box")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("chsh", help="correlators, the eight CHSH values, and NL")
@@ -257,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depolarize", help="project a box onto the isotropic line, preserving S")
     p.add_argument("box")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_depolarize)
 
     p = sub.add_parser("game", help="distributed AND game win rate of a resource")
@@ -278,6 +272,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        args.tol = check_tol(args.tol)
         return args.func(args)
     except (InvalidBoxError, SignalingBoxError, InfeasibleRegionError) as exc:
         print(str(exc), file=sys.stderr)

@@ -19,13 +19,14 @@ from itertools import product
 import numpy as np
 
 from .boxes import (
-    _CORR_SIGNS,
     CHSH_SIGNS,
     DEFAULT_TOL,
     Box,
     _clean,
+    _correlators,
     _is_bit,
     _shown,
+    chsh_values,
     require_non_signaling,
     require_valid,
 )
@@ -80,8 +81,10 @@ def relabelings() -> tuple[Relabeling, ...]:
 
 
 # Coefficients of S on the 16 flat cells: its sign on the correlator of the
-# input pair (row) times that correlator's sign on the output pair (column).
-_S_WEIGHTS = np.outer(CHSH_SIGNS[0], _CORR_SIGNS).ravel()
+# input pair (row) times that correlator's sign (-1)**(a XOR b) on the output
+# pair (column). Only the stabilizer reads them; S itself is read off the
+# correlators.
+_S_WEIGHTS = np.outer(CHSH_SIGNS[0], (1.0, -1.0, -1.0, 1.0)).ravel()
 
 
 @lru_cache(maxsize=1)
@@ -105,8 +108,14 @@ def chsh_stabilizer() -> tuple[Relabeling, ...]:
 
 
 def chsh_functional(box: Box) -> float:
-    """S = X00 + X01 + X10 - X11, the CHSH expression at input pair 00."""
-    return float(_S_WEIGHTS @ np.asarray(box.matrix).reshape(16))
+    """S = X00 + X01 + X10 - X11, the CHSH expression at input pair 00.
+
+    S is read off the box's correlators: it equals
+    ``chsh_values(correlators(box))[0]``, and ``play_and_game(box, 1)``'s
+    ``s_value``, bit for bit. The box is not validated; a non-finite entry
+    raises ``ValueError`` from ``Correlators``.
+    """
+    return chsh_values(_correlators(box))[0]
 
 
 def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:

@@ -368,7 +368,9 @@ def test_optimize_without_a_feasible_point_exits_one(monkeypatch, capsys):
      (["quantum", "--correlators", "1,1,1,x"], "bad correlator values '1,1,1,x': could not convert string to float: 'x'"),
      (["quantum"], "quantum needs a box file or --correlators"),
      (["game"], "game needs a box file or --eps"),
-     (["game", "--eps", "0.1", "--m", "17"], "--m must be in 1..16, got 17")],
+     (["game", "--eps", "0.1", "--m", "17"], "--m must be in 1..16, got 17"),
+     (["quantum", "--correlators", "0.5,0.5,0.5,-0.5", "--tol", "-1"], "tolerance must be a finite number >= 0, got -1.0"),
+     (["optimize", "--tol", "nan"], "tolerance must be a finite number >= 0, got nan")],
 )
 def test_usage_errors_exit_two_with_one_line(argv, message, capsys):
     assert run(argv) == 2

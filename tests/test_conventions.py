@@ -1,7 +1,8 @@
-"""The box layer's two conventions, CHSH signs and marginals, against literal oracles.
+"""The box layer's conventions, CHSH signs, correlators and marginals, against literal oracles.
 
-``boxes`` owns both: ``chsh_values`` defines the eight CHSH functionals and
-``_marginals`` the parties' output marginals. The oracles below write them
+``boxes`` owns them: ``chsh_values`` defines the eight CHSH functionals,
+``_correlator_rows`` the one order in which a row's correlator is summed,
+and ``_marginals`` the parties' output marginals. The oracles below write them
 out by hand, the way the modules that now read them once did, and the
 new code must match them bit for bit. Each public entry point also checks
 its box exactly once.
@@ -9,6 +10,7 @@ its box exactly once.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -78,10 +80,49 @@ def test_chsh_sign_tables_match_literals():
 def test_chsh_readers_match_literal_oracles(rng):
     for box in _seeded_boxes(rng):
         c = nb.correlators(box)
-        flat = np.asarray(box.matrix).reshape(16)
-        assert nb.chsh_functional(box) == float(S_WEIGHTS_LITERAL @ flat)
+        assert nb.chsh_functional(box) == c.x00 + c.x01 + c.x10 - c.x11
         assert quantum.arcsin_sums(c) == _arcsin_sums_loop(c, nb.DEFAULT_TOL)
         assert nb.chsh_values(c)[0] == c.x00 + c.x01 + c.x10 - c.x11
+
+
+# Valid rows (a, b, c, d) whose correlator a different summation order, or a
+# product that drops a signed zero, would change: signed zeros, the smallest
+# subnormal, and an entry one ulp below 1.
+_ONE_ULP_BELOW = math.nextafter(1.0, 0.0)
+_HOSTILE_ROWS = [
+    (-0.0, 0.5, 0.0, 0.5),
+    (1.0, -0.0, -0.0, -0.0),
+    (-0.0, 1.0, 0.0, -0.0),
+    (5e-324, 0.5, 0.5, 0.0),
+    (0.5, 5e-324, 0.0, 0.5),
+    (_ONE_ULP_BELOW, 2.0**-53, 0.0, 0.0),
+    (0.0, 0.0, _ONE_ULP_BELOW, 2.0**-53),
+    (2.0**-53, _ONE_ULP_BELOW, 5e-324, -0.0),
+]
+
+
+def _literal_correlators(box: nb.Box) -> list[str]:
+    return [float.hex((a - c) + (d - b)) for a, b, c, d in box.matrix.tolist()]
+
+
+def test_correlators_sum_each_row_as_a_minus_c_plus_d_minus_b(rng):
+    hostile = [nb.Box([_HOSTILE_ROWS[(i + k) % len(_HOSTILE_ROWS)] for k in range(4)])
+               for i in range(len(_HOSTILE_ROWS))]
+    boxes_ = _seeded_boxes(rng) + hostile
+    for box in boxes_:
+        assert [float.hex(v) for v in nb.correlators(box).as_tuple()] == _literal_correlators(box)
+    # A stack takes the same order, matrix by matrix.
+    rows = boxes._correlator_rows(np.stack([box.matrix for box in boxes_]))
+    assert [[float.hex(v) for v in row] for row in rows] == [_literal_correlators(box) for box in boxes_]
+
+
+def test_s_has_one_value_across_the_package():
+    family = nb.p_eps_delta(0.3, 0.02)
+    assert nb.chsh_functional(family) == 2.48 == nb.play_and_game(family).s_value
+    seeded = np.random.default_rng(7)
+    for box in [family] + [random_ns_box(seeded) for _ in range(300)]:
+        s = nb.chsh_functional(box)
+        assert s == nb.play_and_game(box, 1).s_value == nb.chsh_values(nb.correlators(box))[0]
 
 
 def test_game_s_value_matches_literal_sum(rng):
