@@ -427,14 +427,6 @@ def is_local(box: Box, tol: float = DEFAULT_TOL) -> bool:
     return nl_correlators(_correlators(box)) <= 2.0 + tol
 
 
-def _clean(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    # Zero out negative floating-point dust produced by mixing/averaging.
-    out = np.array(matrix, dtype=float)
-    # check_tol gives a float: -tol of an unsigned numpy int would wrap.
-    out[(out < 0.0) & (out >= -check_tol(tol))] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -495,10 +487,11 @@ def deterministic(fa: Sequence[int], fb: Sequence[int]) -> Box:
     return Box(m)
 
 
-def mix(box1: Box, box2: Box, lam: float, tol: float = DEFAULT_TOL) -> Box:
-    """Convex mixture lam * box1 + (1 - lam) * box2."""
+def mix(box1: Box, box2: Box, lam: float) -> Box:
+    """Convex mixture lam * box1 + (1 - lam) * box2, with the entries as
+    computed: no entry is edited after the sum."""
     lam = _check_unit(lam, "lam")
-    return Box(_clean(lam * box1.matrix + (1.0 - lam) * box2.matrix, tol))
+    return Box(lam * box1.matrix + (1.0 - lam) * box2.matrix)
 
 
 # ---------------------------------------------------------------------------

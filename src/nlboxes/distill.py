@@ -48,7 +48,6 @@ from .boxes import (
     InfeasibleRegionError,
     _check_int,
     _check_unit,
-    _clean,
     _correlator_rows,
     check_tol,
     format_17g,
@@ -148,6 +147,23 @@ class DistillationReport:
         return {**asdict(self), "rows": [asdict(row) for row in self.rows]}
 
 
+def _report_tol(n: int) -> float:
+    """How far the closed form and the composition may lie apart at n copies,
+    whatever the tol: n * 2**-46, that is 128 n units u = 2**-53.
+
+    The family box is exact up to rounding: its entries are within u,
+    relatively, of those of the exact eps and delta, and each XOR step adds
+    four non-negative products in four roundings. So the n-copy entries are
+    within (5n - 4) u, relatively, of an exact composition whose rows sum to
+    1; a correlator is then within (5n - 1) u, and S within 4 (5n - 1) u +
+    12 u. In the closed form each base 1 - 2 x errs by u and its n-th power
+    by (n + 2) u, pow's own rounding included; with the roundings of the
+    product by 3 and of the difference, that is 3 (n + 3) u + (n + 2) u +
+    3 u = (4n + 14) u. Both together stay below 46 n u.
+    """
+    return n * 2.0**-46
+
+
 def distillation_report(
     eps: float,
     delta: float,
@@ -158,11 +174,13 @@ def distillation_report(
 
     ``n_values`` is read once, so any iterable works; the rows follow its
     order, duplicates included. The resource is composed once, up to the
-    largest n, as one (n_max, 4, 4) stack that is cleaned and reduced to
-    correlators in one batch; each row reads its n off that batch: the same
-    numbers as ``compose_xor`` at that n, bit for bit. The closed form and
-    the composition are compared on every row, and the distillability
-    verdict reuses one nl_in for all rows. Raises ``ValueError`` before
+    largest n, as one (n_max, 4, 4) stack that is reduced to correlators in
+    one batch; each row reads its n off that batch: the same numbers as
+    ``compose_xor`` at that n, bit for bit. The closed form and the
+    composition are compared on every row at the rounding bound
+    ``_report_tol(n)``; ``tol`` only checks the resource and decides whether
+    it is quantum. The distillability verdict reuses one nl_in for all
+    rows. Raises ``ValueError`` before
     any composition unless every n is an int in 1..16 and
     delta <= eps <= 1 - delta, the regime where the closed form is the
     composed box's CHSH value. Each n is checked as it is read, so reading
@@ -182,14 +200,14 @@ def distillation_report(
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
-    # Row k - 1 holds the correlators of the cleaned k-copy box.
-    correlator_rows = _correlator_rows(_clean(_xor_powers(resource, max(ns, default=1)), tol))
+    # Row k - 1 holds the correlators of the k-copy box.
+    correlator_rows = _correlator_rows(_xor_powers(resource, max(ns, default=1)))
     nl_in = nl_closed_eps_delta(eps, delta, 1)
     rows = []
     for n in ns:
         closed = nl_closed_eps_delta(eps, delta, n)
         brute = nl_correlators(Correlators(*correlator_rows[n - 1]))
-        if abs(closed - brute) > tol:
+        if abs(closed - brute) > _report_tol(n):
             raise AssertionError(
                 f"closed form {closed!r} disagrees with composition {brute!r} at n={n}"
             )

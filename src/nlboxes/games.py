@@ -47,7 +47,7 @@ def _played_box(strategy: AndGameStrategy, tol: float) -> Box:
     require_non_signaling(strategy.resource, tol)
     if strategy.m == 1:
         return strategy.resource
-    return _compose_xor(strategy.resource, strategy.m, tol)
+    return _compose_xor(strategy.resource, strategy.m)
 
 
 def _win_probability(box: Box) -> float:

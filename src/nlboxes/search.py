@@ -103,6 +103,7 @@ re-verified through the reference composer.
 
 from __future__ import annotations
 
+import sys
 import time
 from array import array
 from dataclasses import dataclass
@@ -419,6 +420,31 @@ class SearchResult:
         }
 
 
+def _scan_tol(tol: float) -> float:
+    """How far the scan's best S may lie from the NL that the reference
+    composer gives the winning pair, for an input checked at ``tol``:
+    48 tol (1 + 21 tol), plus 1e-9 for rounding, saturating at the largest
+    float.
+
+    The scan reads the box P through Q = L P L^T, that is, as P' = K Q K^T.
+    P' is P with some entries moved by signaling gaps, each at most tol: an
+    entry at a = x = 1 by Bob's gap at its (b, y), one at b = y = 1 by
+    Alice's gap at its (a, x), and the entry at a = b = x = y = 1 by four
+    gaps. So D = P - P' has absolute row masses 0, 2 tol, 2 tol and 6 tol.
+
+    A composite correlator sums, over outcome tuples, products of one entry
+    of each copy, so S(P, P) - S(P', P') = S(D, P) + S(P, D) - S(D, D).
+    Put |D| in one copy and |P| in the other. Per input pair the sum is at
+    most D's largest row mass times P's row mass or, when the parties query
+    the copies in opposite orders, times P's marginal plus the 5 tol that
+    P's gaps and negative entries add: 6 tol (1 + 15 tol) in all. Over the
+    four correlators of S and the two copies that is 48 tol (1 + 15 tol);
+    S(D, D) adds at most 4 * 2 * (6 tol)^2 = 288 tol^2. Every CHSH
+    functional is bounded alike, so the bound holds for NL too.
+    """
+    return min(48.0 * tol * (1.0 + 21.0 * tol) + 1e-9, sys.float_info.max)
+
+
 def pair_nl_values(box: Box, alice: AdaptiveStrategy, tol: float = DEFAULT_TOL) -> np.ndarray:
     """CHSH non-locality of (alice, tau) over every deduplicated tau.
 
@@ -438,7 +464,10 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     Deterministic strategies suffice: the CHSH value of a mixture of
     wirings never exceeds the best component, so shared randomness cannot
     beat the maximum found here. Ties resolve to the smallest strategy
-    encodings, so results are identical run to run.
+    encodings, so results are identical run to run. For an input within
+    ``tol`` of the no-signaling set, the scan ranks pairs by values within
+    ``_scan_tol(tol)`` of the reference composer's, and the winner's two
+    values are checked against that bound.
     """
     started = time.perf_counter()
     tol = check_tol(tol)
@@ -463,7 +492,7 @@ def search_2copy(box: Box, tol: float = DEFAULT_TOL) -> SearchResult:
     )
     # The box passed the entry check above; the composite is still checked.
     nl_out = nl_correlators(_correlators(_compose_wiring2(box, wiring, tol)))
-    if abs(nl_out - best_val) > 1e-9:
+    if abs(nl_out - best_val) > _scan_tol(tol):
         raise AssertionError(
             f"scan value {best_val!r} disagrees with reference composition {nl_out!r}"
         )

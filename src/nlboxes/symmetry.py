@@ -22,11 +22,10 @@ from .boxes import (
     CHSH_SIGNS,
     DEFAULT_TOL,
     Box,
-    _clean,
-    _correlators,
     _is_bit,
     _shown,
     chsh_values,
+    correlators,
     require_non_signaling,
     require_valid,
 )
@@ -111,11 +110,11 @@ def chsh_functional(box: Box) -> float:
     """S = X00 + X01 + X10 - X11, the CHSH expression at input pair 00.
 
     S is read off the box's correlators: it equals
-    ``chsh_values(correlators(box))[0]``, and ``play_and_game(box, 1)``'s
-    ``s_value``, bit for bit. The box is not validated; a non-finite entry
-    raises ``ValueError`` from ``Correlators``.
+    ``play_and_game(box, 1)``'s ``s_value``, bit for bit. The box is
+    validated at the default tolerance, as ``canonical_form`` does; a box
+    that fails raises ``InvalidBoxError``.
     """
-    return chsh_values(_correlators(box))[0]
+    return chsh_values(correlators(box))[0]
 
 
 def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:
@@ -128,7 +127,7 @@ def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:
     images = np.asarray(box.matrix).reshape(16)[_permutations()[_stabilizer_rows()]]
     # Summed one image at a time from 0.0, so rounding and signed zeros do
     # not depend on how numpy would reduce the stack.
-    return Box(_clean((sum(images, 0.0) / len(images)).reshape(4, 4), tol))
+    return Box((sum(images, 0.0) / len(images)).reshape(4, 4))
 
 
 def canonical_form(obj: Box | AdaptiveStrategy):

@@ -26,7 +26,6 @@ from .boxes import (
     Box,
     Correlators,
     _check_int,
-    _clean,
     _is_bit,
     _shown,
     check_tol,
@@ -49,12 +48,12 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     """
     n = _check_int(n, "n", 1, MAX_XOR_COPIES)
     require_non_signaling(box, tol)
-    return _compose_xor(box, n, tol)
+    return _compose_xor(box, n)
 
 
-def _compose_xor(box: Box, n: int, tol: float) -> Box:
+def _compose_xor(box: Box, n: int) -> Box:
     """``compose_xor`` of a box and copy count the caller has already checked."""
-    return Box(_clean(_xor_powers(box, n)[-1], tol))
+    return Box(_xor_powers(box, n)[-1])
 
 
 # XOR of outcome-pair indices: outcome pairs (a, b) are indexed by 2a+b, so
@@ -63,7 +62,7 @@ _XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
 
 
 def _xor_powers(box: Box, n_max: int) -> np.ndarray:
-    """Rows of the 1- to ``n_max``-copy XOR compositions, before ``_clean``.
+    """Rows of the 1- to ``n_max``-copy XOR compositions.
 
     Entry k - 1 of the (n_max, 4, 4) result holds the rows of k copies.
     Each copy adds one whole-array step over all four rows. With
@@ -246,9 +245,7 @@ def compose_wiring2(box: Box, wiring: Wiring2, tol: float = DEFAULT_TOL) -> Box:
     each entry into positive and negative parts (row masses at most 1 + 4 tol
     and 3 tol). Then a composite row sum is within 3 tol (1 + 7 tol) of 1,
     its marginals within 4 tol (1 + 7 tol) of each other, and its entries
-    within 11 tol (1 + 10 tol) of [0, 1]. Zeroing the entries in [-tol, 0)
-    moves a row sum by at most 4 tol more and a marginal by 2 tol. At ``tol``
-    0 only rounding is left.
+    within 11 tol (1 + 10 tol) of [0, 1]. At ``tol`` 0 only rounding is left.
     """
     tol = check_tol(tol)
     require_non_signaling(box, tol)
@@ -296,7 +293,7 @@ def _compose_wiring2(box: Box, wiring: Wiring2, tol: float) -> Box:
         for xa1, a1, xa2, a2, a in alice[x]:
             for yb1, b1, yb2, b2, b in bob[y]:
                 row[a + b] += m[xa1 + yb1][a1 + b1] * m[xa2 + yb2][a2 + b2]
-    result = Box(_clean(out, tol))
+    result = Box(out)
     check = is_non_signaling(result, _composite_tol(tol))
     if not check.ok:
         raise AssertionError(

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nlboxes import Box, deterministic
+from nlboxes import Box, deterministic, is_non_signaling, validate
 from nlboxes.wiring import AdaptiveStrategy
 
 
@@ -117,3 +117,37 @@ TOL_0_BOXES = [
         [0, 0.48006963695032867, 0.5199303630496713, 0],
     ],
 ]
+
+
+def dusty_ns_boxes(rng: np.random.Generator, count: int, tol: float = 1e-9) -> list[Box]:
+    """Vertices and mixtures of two or three vertices whose zeros became dust
+    in [-tol, 0), taken from each row's largest entry; kept only if valid and
+    non-signaling at ``tol``, with at least one negative entry."""
+    vertices = np.stack([np.asarray(v.matrix) for v in ns_vertices()])
+    boxes = []
+    while len(boxes) < count:
+        k = int(rng.integers(1, 4))
+        picks = rng.choice(len(vertices), size=k, replace=False)
+        m = np.tensordot(rng.dirichlet(np.ones(k)), vertices[picks], axes=1)
+        for row in m:
+            zeros = row == 0.0
+            dust = rng.uniform(0.0, tol, size=int(zeros.sum()))
+            row[zeros] = -dust
+            row[np.argmax(row)] += dust.sum()
+        box = Box(m)
+        if (m < 0.0).any() and validate(box, tol).ok and is_non_signaling(box, tol).ok:
+            boxes.append(box)
+    return boxes
+
+
+def near_ns_boxes(rng: np.random.Generator, count: int, tol: float) -> list[Box]:
+    """Vertices and random no-signaling boxes moved entrywise by up to ``tol``;
+    kept only if valid and non-signaling at ``tol``."""
+    vertices = ns_vertices()
+    boxes = []
+    while len(boxes) < count:
+        base = vertices[int(rng.integers(len(vertices)))] if rng.random() < 0.5 else random_ns_box(rng)
+        box = Box(np.asarray(base.matrix) + rng.uniform(-tol, tol, (4, 4)))
+        if validate(box, tol).ok and is_non_signaling(box, tol).ok:
+            boxes.append(box)
+    return boxes

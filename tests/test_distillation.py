@@ -10,7 +10,7 @@ import pytest
 
 import nlboxes as nb
 from nlboxes import distill
-from nlboxes.boxes import _clean, _correlators, nl_correlators
+from nlboxes.boxes import _correlators, nl_correlators
 from nlboxes.wiring import _xor_powers
 
 TOL = 1e-9
@@ -157,14 +157,14 @@ def test_report_matches_single_n_composition_bit_for_bit():
 
 def _report_by_per_row_loop(eps: float, delta: float, n_values: list[int]) -> dict:
     """Oracle: the report JSON read one row at a time off one composition, each
-    row with its own ``_clean``, ``Box`` and correlators, and its own
+    row with its own ``Box`` and correlators, and its own
     ``is_distillable_at``."""
     powers = _xor_powers(nb.p_eps_delta(eps, delta), max(n_values))
     rows = [
         {
             "n": n,
             "nl_closed": nb.nl_closed_eps_delta(eps, delta, n),
-            "nl_brute": nl_correlators(_correlators(nb.Box(_clean(powers[n - 1], nb.DEFAULT_TOL)))),
+            "nl_brute": nl_correlators(_correlators(nb.Box(powers[n - 1]))),
             "distilled": nb.is_distillable_at(eps, delta, n),
         }
         for n in n_values
@@ -239,6 +239,35 @@ def test_report_at_the_edges_of_the_regime(eps, delta):
     assert [row.n for row in report.rows] == list(range(1, 17))
     for row in report.rows:
         assert row.nl_brute == pytest.approx(nb.nl_closed_eps_delta(eps, delta, row.n), abs=1e-12)
+
+
+def test_report_at_tol_0_returns_its_rows():
+    # The closed form and the composition differ by rounding alone, so the
+    # report's check does not read tol.
+    rng = np.random.default_rng(3305)
+    for _ in range(300):
+        delta = float(rng.uniform(0.0, 0.5))
+        eps = float(rng.uniform(delta, 1.0 - delta))
+        report = nb.distillation_report(eps, delta, range(1, 17), 0.0)
+        assert [row.n for row in report.rows] == list(range(1, 17))
+    for tol in (1e-300, 1e-16):
+        assert len(nb.distillation_report(0.3, 0.02, range(1, 17), tol).rows) == 16
+
+
+@pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+def test_report_check_raises_on_a_composition_shifted_past_its_bound(monkeypatch, factor, raises):
+    # Shifting X00 shifts S, the largest functional here, by the same amount.
+    rows_of = distill._correlator_rows
+
+    def shifted(stack):
+        return [[x00 + factor * distill._report_tol(k + 1), *rest] for k, (x00, *rest) in enumerate(rows_of(stack))]
+
+    monkeypatch.setattr(distill, "_correlator_rows", shifted)
+    if raises:
+        with pytest.raises(AssertionError, match=r"disagrees with composition .* at n=1$"):
+            nb.distillation_report(0.3, 0.02, range(1, 17), 0.5)
+    else:
+        assert len(nb.distillation_report(0.3, 0.02, range(1, 17), 0.5).rows) == 16
 
 
 def test_optimizer_reproduces_known_optimum():

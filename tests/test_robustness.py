@@ -274,7 +274,6 @@ _NUMERIC_PARAMETERS = {
     "distillation_report.eps": (lambda v: nb.distillation_report(v, 0.0, [1, 2]), 1),
     "distillation_report.delta": (lambda v: nb.distillation_report(0.5, v, [1, 2]), 0),
     "nl.tol": (lambda v: nb.nl(_BOX, v), 0),
-    "mix.tol": (lambda v: nb.mix(nb.pr(), nb.noise(), 0.5, v), 0),
     "compose_xor.tol": (lambda v: nb.compose_xor(_BOX, 2, v), 0),
     "compose_wiring2.tol": (lambda v: nb.compose_wiring2(_BOX, nb.Wiring2(nb.xor_strategy(), nb.xor_strategy()), v), 0),
     "search_2copy.tol": (lambda v: nb.search_2copy(_BOX, v), 0),

@@ -18,7 +18,16 @@ import nlboxes as nb
 from nlboxes import search
 from nlboxes.search import pair_nl_values
 from nlboxes.symmetry import Relabeling, chsh_stabilizer
-from conftest import TOL_0_BOXES, box_from_correlators, deterministic_vertices, ns_vertices, pr_variant, random_ns_box
+from conftest import (
+    TOL_0_BOXES,
+    box_from_correlators,
+    deterministic_vertices,
+    dusty_ns_boxes,
+    near_ns_boxes,
+    ns_vertices,
+    pr_variant,
+    random_ns_box,
+)
 
 TOL = 1e-9
 
@@ -770,3 +779,36 @@ def test_search_still_rejects_a_box_two_tol_off(matrix):
     # The input check keeps tol: only the composite's check widens.
     with pytest.raises(nb.InvalidBoxError, match="row sum != 1"):
         nb.search_2copy(nb.Box(np.asarray(matrix) * (1 + 2 * TOL)))
+
+
+@pytest.mark.parametrize(
+    "corpus, tol",
+    [(near_ns_boxes, 1e-9), (near_ns_boxes, 1e-6), (near_ns_boxes, 1e-4), (dusty_ns_boxes, 1e-9)],
+    ids=["near_1e-9", "near_1e-6", "near_1e-4", "dusty"],
+)
+def test_search_self_check_holds_within_tol_of_no_signaling(corpus, tol):
+    # The scan reads the no-signaling part of the box, the composer the box
+    # itself: their values differ by up to a few tol.
+    for box in corpus(np.random.default_rng(3301), 200, tol):
+        nb.search_2copy(box, tol)
+
+
+def test_scan_tol_grows_with_tol_and_saturates():
+    assert search._scan_tol(0.0) == 1e-9
+    assert search._scan_tol(1e-6) == 48e-6 * (1.0 + 21e-6) + 1e-9
+    assert search._scan_tol(1e200) == sys.float_info.max
+
+
+@pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+def test_search_self_check_raises_on_a_scan_shifted_past_its_bound(monkeypatch, factor, raises):
+    # The whole scan is shifted, so the tie-break picks the pair it picks unshifted.
+    shift = factor * search._scan_tol(TOL)
+    row_max, pair_values = search._row_max, search._pair_values
+    monkeypatch.setattr(search, "_row_max", lambda g, dedup: row_max(g, dedup) + shift)
+    monkeypatch.setattr(search, "_pair_values", lambda g, dedup, row: pair_values(g, dedup, row) + shift)
+    box = nb.p_eps(0.1)
+    if raises:
+        with pytest.raises(AssertionError, match="disagrees with reference composition"):
+            nb.search_2copy(box)
+    else:
+        assert nb.search_2copy(box).nl_out == pytest.approx(2.36, abs=1e-12)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import nlboxes as nb
-from nlboxes.boxes import _clean
 from nlboxes.symmetry import _S_WEIGHTS
-from conftest import assert_boxes_close, ns_vertices, random_ns_box, random_valid_box
+from conftest import assert_boxes_close, dusty_ns_boxes, ns_vertices, random_ns_box, random_valid_box
 
 TOL = 1e-9
 
@@ -157,7 +159,7 @@ def _depolarize_by_loop(box: nb.Box) -> nb.Box:
     acc = np.zeros(16)
     for sigma in group:
         acc += flat[sigma.permutation()]
-    return nb.Box(_clean((acc / len(group)).reshape(4, 4)))
+    return nb.Box((acc / len(group)).reshape(4, 4))
 
 
 def _with_negative_zeros(box: nb.Box, share: float, rng: np.random.Generator) -> nb.Box:
@@ -203,3 +205,24 @@ def test_canonical_form_rejects_invalid_boxes(value):
     m[1, 2] = value
     with pytest.raises(nb.InvalidBoxError):
         nb.canonical_form(nb.Box(m))
+
+
+def test_depolarize_keeps_s_on_dusty_boxes():
+    # Entries in [-tol, 0) that validate accepts stay in the average, so S
+    # keeps its value up to rounding.
+    for box in dusty_ns_boxes(np.random.default_rng(3303), 300):
+        assert abs(nb.chsh_functional(nb.depolarize(box)) - nb.chsh_functional(box)) <= 4 * math.ulp(4.0)
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [([math.inf, math.inf, 0.5, 0.5], "non-finite entry"), ([0.5, 0.3, 0.25, 0.25], "row sum != 1")],
+    ids=["inf", "row_sum"],
+)
+def test_chsh_functional_validates_its_box(row, match, capsys):
+    box = nb.Box([row] + [[0.25] * 4] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nb.InvalidBoxError, match=match):
+            nb.chsh_functional(box)
+    assert capsys.readouterr().err == ""
