@@ -7,6 +7,17 @@ order 00, 01, 10, 11, the column index is the output pair ab in the same
 order. Every module in this package consumes and produces this one
 representation, and all file I/O uses this ordering.
 
+A ``Box`` holds its 16 entries as four tuples of Python floats, and every
+single-box question asked here (validity, non-signaling, correlators, the
+CHSH values) is answered on those floats, each sum in the order numpy's
+elementwise operations take, so this module imports no numpy for a box
+given as four lists or tuples of four Python numbers, the form a box file
+and every constructor here give. ``Box.matrix`` is the same table as a
+read-only float ndarray for the modules that compute on arrays, built on
+its first access, which is where numpy is imported. A table in any other
+form (an ndarray, numpy scalars, a wrong shape, entries that are not
+numbers) is read by numpy, and its box keeps the array.
+
 All comparisons share a single absolute tolerance (default 1e-9). The
 quantities computed here are low-degree polynomials of the table entries,
 so double precision keeps rounding error orders of magnitude below it.
@@ -15,7 +26,7 @@ Every input of the package follows one contract, checked here:
 
 - a number (a box entry, a correlator, a tolerance, eps, delta, eta, lam,
   fixed_delta) is a Python or numpy int or float, not a bool, that a float
-  holds (``_check_number``; ``_as_matrix`` for box entries). Correlators,
+  holds (``_check_number``; ``_as_rows`` for box entries). Correlators,
   tolerances (``check_tol``) and the family's eps and delta are kept as the
   floats their checks return, so a numpy tolerance or correlator gives the
   answer of its float: no numpy types and no float32 arithmetic;
@@ -24,7 +35,9 @@ Every input of the package follows one contract, checked here:
   range (``_check_int``, ``_is_bit``), and is kept as a plain int.
 
 Anything else raises ``ValueError``: strings, bools, None, Fractions,
-Decimals, arrays and complex numbers alike.
+Decimals, arrays and complex numbers alike. A numpy value can exist only
+once numpy is imported, so these checks read numpy's types from
+``sys.modules`` and never import it.
 """
 
 from __future__ import annotations
@@ -33,9 +46,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-9
 
@@ -74,11 +89,40 @@ class InfeasibleRegionError(RuntimeError):
     """No parameter point satisfies the quantum and distillability constraints."""
 
 
+_ROW_TYPES = (list, tuple)
+
+
+def _as_rows(values) -> tuple[tuple[tuple[float, ...], ...], np.ndarray | None]:
+    """Four rows of four floats from ``values``, which hold ints and floats,
+    Python or numpy, and no bools; ``ValueError`` otherwise. NaN and
+    infinite entries pass, for ``validate`` to report.
+
+    The usual table, four lists or tuples of four Python ints and floats, is
+    read without numpy and returned with None in place of an array. Rows of
+    unequal lengths are refused as not 4x4. Anything else takes
+    ``_as_matrix`` and is returned with its array.
+    """
+    if type(values) in _ROW_TYPES and all(type(row) in _ROW_TYPES for row in values):
+        lengths = set(map(len, values))
+        if len(lengths) > 1:
+            raise ValueError("box matrix must be 4x4, got rows of unequal lengths")
+        if (len(values) == 4 and lengths == {4}
+                and all(type(v) is float or type(v) is int for row in values for v in row)):
+            try:
+                return tuple(tuple(map(float, row)) for row in values), None
+            except OverflowError:
+                pass  # an int too large for a float: _as_matrix gives the message
+    matrix = _as_matrix(values)
+    return tuple(map(tuple, matrix.tolist())), matrix
+
+
 def _as_matrix(values) -> np.ndarray:
     """A read-only 4x4 float copy of ``values``, which hold ints and floats,
     Python or numpy, and no bools; ``ValueError`` otherwise. An ndarray is
     checked by its dtype, anything else entry by entry. NaN and infinite
-    entries pass, for ``validate`` to report."""
+    entries pass, for ``validate`` to report. Imports numpy."""
+    import numpy as np
+
     if isinstance(values, np.ndarray) and values.dtype.kind not in "iuf":
         raise ValueError(f"box matrix must hold numbers, got {values.dtype}")
     try:
@@ -99,22 +143,37 @@ def _as_matrix(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Box:
-    """Conditional distribution P(ab|xy) as a read-only 4x4 matrix.
+    """Conditional distribution P(ab|xy): ``rows[xy][ab]``, four rows of four
+    Python floats, built from a 4x4 table of numbers by ``_as_rows``.
+
+    ``matrix`` is the same table as a read-only 4x4 float ndarray. A box that
+    ``_as_rows`` read with numpy keeps that array; a box read from plain
+    rows builds it on the first access, which imports numpy.
 
     Construction does not check probability constraints; use ``validate``
     to obtain a report, so that broken tables can still be inspected.
     """
 
-    matrix: np.ndarray
+    rows: tuple[tuple[float, float, float, float], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix))
+    def __init__(self, matrix) -> None:
+        rows, array = _as_rows(matrix)
+        object.__setattr__(self, "rows", rows)
+        if array is not None:
+            self.__dict__["matrix"] = array
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        import numpy as np
+
+        array = np.array(self.rows)
+        array.setflags(write=False)
+        return array
 
     def to_json_dict(self) -> dict:
-        # Written out: asdict would keep the ndarray, which JSON cannot hold.
-        return {"matrix": [[float(v) for v in row] for row in self.matrix]}
+        return {"matrix": [list(row) for row in self.rows]}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -218,20 +277,26 @@ class NonSignalingCheck(NamedTuple):
     residual: float
 
 
-# The types a number may have: Python and numpy ints and floats. bool is an
-# int subclass, so the checks exclude it by name. Plain type checks: every
-# ``validate`` and every ``Correlators`` runs them.
-_NUMBER_TYPES = (float, int, np.floating, np.integer)
+# A number is a Python or numpy int or float. bool is an int subclass, so the
+# checks exclude it by name. A numpy scalar exists only once numpy is
+# imported, so its types are read from ``sys.modules``, after the Python
+# types that every ``Correlators`` and every parsed entry has.
 
 
 def _is_int(value) -> bool:
     """A Python or numpy int that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.integer)
 
 
 def _is_number(value) -> bool:
     """A Python or numpy int or float that is not a bool."""
-    return isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool)
+    if isinstance(value, (float, int)):
+        return not isinstance(value, bool)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, (np.floating, np.integer))
 
 
 def _shown(value) -> str:
@@ -306,7 +371,7 @@ def validate(box: Box, tol: float = DEFAULT_TOL) -> ValidationReport:
     """
     tol = check_tol(tol)
     violations: list[Violation] = []
-    for xy, row in zip(XY_LABELS, box.matrix.tolist()):
+    for xy, row in zip(XY_LABELS, box.rows):
         for ab, v in zip(AB_LABELS, row):
             if not -tol <= v <= 1.0 + tol:  # NaN fails both comparisons
                 where = f"row xy={xy} col ab={ab}"
@@ -329,10 +394,20 @@ def require_valid(box: Box, tol: float = DEFAULT_TOL) -> None:
         raise InvalidBoxError(f"invalid box: {report.describe()}")
 
 
-def _marginals(box: Box) -> tuple[np.ndarray, np.ndarray]:
-    """P(a|xy) and P(b|xy), each a 4x2 array over (row xy, own output)."""
-    m = box.matrix
-    return m[:, 0::2] + m[:, 1::2], m[:, :2] + m[:, 2:]
+def _marginals(box: Box) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
+    """P(a|xy) and P(b|xy), each four rows (one per xy) of two floats (one
+    per own output): a row (p00, p01, p10, p11) gives (p00 + p01, p10 + p11)
+    and (p00 + p10, p01 + p11), the sums of numpy's
+    ``m[:, 0::2] + m[:, 1::2]`` and ``m[:, :2] + m[:, 2:]``. Float sums
+    raise no warning: one that overflows is inf."""
+    return (tuple((a + b, c + d) for a, b, c, d in box.rows),
+            tuple((a + c, b + d) for a, b, c, d in box.rows))
+
+
+def _peak(values: list[float]) -> float:
+    """The largest of ``values``, or NaN if one of them is NaN, as numpy's
+    ``max`` reads an array (Python's ``max`` skips a NaN after the first)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def is_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> NonSignalingCheck:
@@ -345,7 +420,13 @@ def is_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> NonSignalingCheck:
     require_valid(box, tol)
     alice, bob = _marginals(box)
     # Alice's rows 2x and 2x + 1 differ only in y; Bob's rows y and 2 + y only in x.
-    worst = float(max(np.abs(alice[0::2] - alice[1::2]).max(), np.abs(bob[:2] - bob[2:]).max()))
+    alice_gap = _peak([abs(p - q) for r in (0, 2) for p, q in zip(alice[r], alice[r + 1])])
+    bob_gap = _peak([abs(p - q) for r in (0, 1) for p, q in zip(bob[r], bob[r + 2])])
+    # Python's max of the two keeps a known fault of the numpy code this
+    # replaced, so that every verdict stays the same: a NaN Bob gap does not
+    # replace Alice's, and a box whose Bob marginals are NaN can pass.
+    # ``_peak`` of both gaps would refuse it.
+    worst = max(alice_gap, bob_gap)
     return NonSignalingCheck(worst <= tol, worst)
 
 
@@ -355,22 +436,21 @@ def require_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> None:
         raise SignalingBoxError(f"box is signaling: worst marginal discrepancy {check.residual:.3g}")
 
 
-def _correlator_rows(m: np.ndarray) -> list:
+def _correlator_rows(rows) -> list[float]:
     """The correlator of each row (a, b, c, d) = (P(00), P(01), P(10), P(11))
-    along the last axis of a (4, 4) box matrix or a (k, 4, 4) stack, as
-    Python floats: a list of four, or k lists of four.
+    of ``rows``, a box's four or a stack's, as Python floats.
 
-    Each is summed as (a - c) + (d - b) with elementwise float operations
-    and no matrix product, so the bits follow this one order and do not
-    depend on the BLAS numpy links.
+    Each is summed as (a - c) + (d - b), the one order of every correlator
+    and S in the package, with no matrix product, so the bits do not depend
+    on a BLAS.
     """
-    return ((m[..., 0] - m[..., 2]) + (m[..., 3] - m[..., 1])).tolist()
+    return [(a - c) + (d - b) for a, b, c, d in rows]
 
 
 def _correlators(box: Box) -> Correlators:
     """``correlators`` of a box the caller has already checked, summed row
     by row in ``_correlator_rows``'s order."""
-    return Correlators(*_correlator_rows(box.matrix))
+    return Correlators(*_correlator_rows(box.rows))
 
 
 def correlators(box: Box, tol: float = DEFAULT_TOL) -> Correlators:
@@ -396,10 +476,10 @@ def chsh_values(c: Correlators) -> tuple[float, ...]:
     return tuple(vals) + tuple(-v for v in vals)
 
 
-# The eight CHSH functionals as coefficients of (x00, x01, x10, x11), one row
+# The eight CHSH functionals as coefficients of (x00, x01, x10, x11), one tuple
 # per functional in ``CHSH_LABELS`` order; read off ``chsh_values``.
-CHSH_SIGNS = np.array([chsh_values(Correlators(*unit)) for unit in np.eye(4)]).T
-CHSH_SIGNS.setflags(write=False)
+_UNIT_CORRELATORS = [Correlators(*(float(i == j) for j in range(4))) for i in range(4)]
+CHSH_SIGNS = tuple(zip(*map(chsh_values, _UNIT_CORRELATORS)))
 
 
 def nl_correlators(c: Correlators) -> float:
@@ -440,7 +520,7 @@ def pr() -> Box:
 
 def noise() -> Box:
     """Uniform output noise, the center of the non-signaling set."""
-    return Box(np.full((4, 4), 0.25))
+    return Box(((0.25,) * 4,) * 4)
 
 
 def p_eps(eps: float) -> Box:
@@ -480,10 +560,10 @@ def deterministic(fa: Sequence[int], fb: Sequence[int]) -> Box:
     fa, fb = tuple(fa), tuple(fb)
     if len(fa) != 2 or len(fb) != 2 or not all(map(_is_bit, fa + fb)):
         raise ValueError("fa and fb must each be two bits")
-    m = np.zeros((4, 4))
+    m = [[0.0] * 4 for _ in range(4)]
     for x in (0, 1):
         for y in (0, 1):
-            m[2 * x + y, 2 * fa[x] + fb[y]] = 1.0
+            m[2 * x + y][2 * fa[x] + fb[y]] = 1.0
     return Box(m)
 
 
@@ -491,7 +571,8 @@ def mix(box1: Box, box2: Box, lam: float) -> Box:
     """Convex mixture lam * box1 + (1 - lam) * box2, with the entries as
     computed: no entry is edited after the sum."""
     lam = _check_unit(lam, "lam")
-    return Box(lam * box1.matrix + (1.0 - lam) * box2.matrix)
+    rest = 1.0 - lam
+    return Box([[lam * p + rest * q for p, q in zip(r1, r2)] for r1, r2 in zip(box1.rows, box2.rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ as a float and ``run`` checks it with ``check_tol`` before dispatch.
 
 Each process runs one subcommand, so each ``_cmd_*`` imports the module it
 calls and this module imports ``boxes`` only: ``chsh`` and ``validate``
-load neither the search nor the optimizer.
+load neither the search nor the optimizer. A box holds its entries as
+Python floats, and ``boxes`` and ``quantum`` answer on them, so ``chsh``,
+``validate`` and ``quantum`` import no numpy, unless a box file holds a
+table that is not four rows of four numbers. ``search``, ``distill``, ``optimize``, ``game`` and ``depolarize``
+import it with the modules they call, which read a box's ``matrix`` array.
 """
 
 from __future__ import annotations

@@ -200,13 +200,13 @@ def distillation_report(
     quantum, _ = is_quantum_correlators(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
-    # Row k - 1 holds the correlators of the k-copy box.
-    correlator_rows = _correlator_rows(_xor_powers(resource, max(ns, default=1)))
+    # Entries 4k - 4 to 4k - 1 hold the correlators of the k-copy box.
+    correlators = _correlator_rows(_xor_powers(resource, max(ns, default=1)).reshape(-1, 4).tolist())
     nl_in = nl_closed_eps_delta(eps, delta, 1)
     rows = []
     for n in ns:
         closed = nl_closed_eps_delta(eps, delta, n)
-        brute = nl_correlators(Correlators(*correlator_rows[n - 1]))
+        brute = nl_correlators(Correlators(*correlators[4 * n - 4:4 * n]))
         if abs(closed - brute) > _report_tol(n):
             raise AssertionError(
                 f"closed form {closed!r} disagrees with composition {brute!r} at n={n}"

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .boxes import (
     DEFAULT_TOL,
     Box,
@@ -76,10 +74,14 @@ class QuantumVerdict:
 
 
 def has_uniform_marginals(box: Box, tol: float = DEFAULT_TOL) -> bool:
-    """True iff P(a=0|xy) and P(b=0|xy) are 1/2 within ``tol`` on every row."""
+    """True iff P(a=0|xy) and P(b=0|xy) are 1/2 within ``tol`` on every row.
+
+    The box is not validated: a NaN marginal, which no comparison passes,
+    makes the answer False.
+    """
     tol = check_tol(tol)
     alice, bob = _marginals(box)
-    return bool(np.abs(np.concatenate((alice[:, 0], bob[:, 0])) - 0.5).max() <= tol)
+    return all(abs(p[0] - 0.5) <= tol for p in alice + bob)
 
 
 def is_quantum_box(box: Box, tol: float = DEFAULT_TOL) -> QuantumVerdict:

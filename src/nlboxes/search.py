@@ -289,7 +289,7 @@ def _relabel_codes(codes: np.ndarray, flip_x: int, flip_a: int, a_flip_with_x: i
 _NEAR_MAX = 1e-12
 
 # The eight CHSH functionals as signs over (Bob input y, Alice input x), S first.
-_CHSH_SIGNS = CHSH_SIGNS.reshape(8, 2, 2).transpose(0, 2, 1)
+_CHSH_SIGNS = np.array(CHSH_SIGNS).reshape(8, 2, 2).transpose(0, 2, 1)
 
 
 def _box_coordinates(box: Box) -> np.ndarray:

@@ -283,7 +283,7 @@ def _compose_wiring2(box: Box, wiring: Wiring2, tol: float) -> Box:
     the composite is still checked, at ``_composite_tol(tol)``."""
     # Python floats: the same products, added in the same order, as numpy
     # float64 scalars, without their per-operation overhead.
-    m = box.matrix.tolist()
+    m = box.rows
     alice, bob = _trace_offsets(wiring.alice, 2), _trace_offsets(wiring.bob, 1)
     out = [[0.0] * 4 for _ in range(4)]
     for x, y in product((0, 1), repeat=2):

@@ -244,6 +244,22 @@ def test_validate_reports_an_overflowing_row_sum_with_nothing_on_stderr(tmp_path
     assert done.stderr == ""
 
 
+@pytest.mark.parametrize("command, stdout, stderr", [
+    ("validate", "rows: valid probability distributions (tol 1e+308)\n"
+                 "non-signaling: NO (worst marginal discrepancy inf)\n", ""),
+    ("chsh", "", "box is signaling: worst marginal discrepancy inf\n"),
+])
+def test_overflowing_marginals_at_a_huge_tol_write_no_warning(command, stdout, stderr, tmp_path):
+    # Row 00 is valid at --tol 1e308 (its sum is 0), but Bob's marginals
+    # 1e308 + 1e308 overflow; a numpy sum of them warns on stderr.
+    path = tmp_path / "ovf.json"
+    path.write_text(json.dumps({"matrix": [[1e308, -1e308, 1e308, -1e308]] + [[0.25] * 4] * 3}))
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nlboxes", command, str(path), "--tol", "1e308"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, stdout, stderr)
+
+
 def test_search_json(tmp_path, capsys):
     path = tmp_path / "iso.json"
     path.write_text(nb.isotropic(0.6).to_json())

@@ -111,9 +111,9 @@ def test_correlators_sum_each_row_as_a_minus_c_plus_d_minus_b(rng):
     boxes_ = _seeded_boxes(rng) + hostile
     for box in boxes_:
         assert [float.hex(v) for v in nb.correlators(box).as_tuple()] == _literal_correlators(box)
-    # A stack takes the same order, matrix by matrix.
-    rows = boxes._correlator_rows(np.stack([box.matrix for box in boxes_]))
-    assert [[float.hex(v) for v in row] for row in rows] == [_literal_correlators(box) for box in boxes_]
+    # A stack's rows take the same order, matrix by matrix.
+    rows = boxes._correlator_rows(np.stack([box.matrix for box in boxes_]).reshape(-1, 4).tolist())
+    assert [float.hex(v) for v in rows] == [h for box in boxes_ for h in _literal_correlators(box)]
 
 
 def test_s_has_one_value_across_the_package():

@@ -259,8 +259,9 @@ def test_report_check_raises_on_a_composition_shifted_past_its_bound(monkeypatch
     # Shifting X00 shifts S, the largest functional here, by the same amount.
     rows_of = distill._correlator_rows
 
-    def shifted(stack):
-        return [[x00 + factor * distill._report_tol(k + 1), *rest] for k, (x00, *rest) in enumerate(rows_of(stack))]
+    def shifted(rows):
+        # Entry 4k - 4 is X00 of the k-copy box.
+        return [x + factor * distill._report_tol(i // 4 + 1) if i % 4 == 0 else x for i, x in enumerate(rows_of(rows))]
 
     monkeypatch.setattr(distill, "_correlator_rows", shifted)
     if raises:

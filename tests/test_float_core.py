@@ -1,0 +1,252 @@
+"""The box core on Python floats against test-local copies of the numpy code
+it replaced: the loader's decisions and messages, the non-signaling verdict
+and residual, and the uniform-marginal test, bit for bit."""
+
+from __future__ import annotations
+
+import array
+import json
+import math
+import re
+import warnings
+from collections import deque
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import nlboxes as nb
+from nlboxes import quantum
+from conftest import near_ns_boxes, random_ns_box, random_valid_box
+
+_TOLS = [0.0, 1e-12, 1e-9, 1e-3, 0.5, 1e308]
+
+
+# ---------------------------------------------------------------------------
+# The numpy code the float core replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _numpy_is_number(value) -> bool:
+    return isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+
+
+def _numpy_as_matrix(values) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "iuf":
+        raise ValueError(f"box matrix must hold numbers, got {values.dtype}")
+    try:
+        arr = np.array(values, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"box matrix must hold numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError("box matrix entry is too large for a float") from exc
+    if arr.shape != (4, 4):
+        raise ValueError(f"box matrix must be 4x4, got shape {arr.shape}")
+    if not isinstance(values, np.ndarray):
+        samples = {type(v): v for row in values for v in row}.values()
+        kinds = {type(v).__name__ for v in samples if not _numpy_is_number(v)}
+        if kinds:
+            raise ValueError(f"box matrix must hold numbers, got {', '.join(sorted(kinds))}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _numpy_marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return m[:, 0::2] + m[:, 1::2], m[:, :2] + m[:, 2:]
+
+
+def _numpy_is_non_signaling(box: nb.Box, tol: float) -> tuple[bool, float, bool]:
+    """The verdict, the residual, and whether Bob's gap is NaN (Python's
+    ``max`` then returns Alice's)."""
+    nb.require_valid(box, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alice, bob = _numpy_marginals(box.matrix)
+        bob_gap = np.abs(bob[:2] - bob[2:]).max()
+        worst = float(max(np.abs(alice[0::2] - alice[1::2]).max(), bob_gap))
+    return worst <= tol, worst, bool(np.isnan(bob_gap))
+
+
+def _numpy_has_uniform_marginals(box: nb.Box, tol: float) -> bool:
+    with np.errstate(over="ignore", invalid="ignore"):
+        alice, bob = _numpy_marginals(box.matrix)
+        return bool(np.abs(np.concatenate((alice[:, 0], bob[:, 0])) - 0.5).max() <= tol)
+
+
+# ---------------------------------------------------------------------------
+# Loader
+# ---------------------------------------------------------------------------
+
+def _outcome(load, values):
+    """("ok", matrix bytes, JSON text) or ("error", exception type, message)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a numpy complex entry warns in both loaders
+            matrix = load(values)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return "error", type(exc), str(exc)
+    return "ok", matrix.tobytes(), json.dumps({"matrix": [[float(v) for v in row] for row in matrix]})
+
+
+def _new_outcome(values):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            box = nb.Box(values)
+    except Exception as exc:  # noqa: BLE001
+        return "error", type(exc), str(exc)
+    assert box.matrix.dtype == np.float64 and not box.matrix.flags.writeable
+    return "ok", box.matrix.tobytes(), box.to_json()
+
+
+def _nested(depth: int):
+    value = 0.25
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_UNIFORM = [[0.25] * 4] * 4
+_ENTRIES = [
+    0.5, 1, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2**53 + 1, 2**1023 * 1.5, 10**400, 2**1024,
+    True, False, None, "0.5", "abc", "1_000", b"0.5", 1j, Fraction(1, 3), Decimal("0.1"), {}, set(), object(),
+    np.float64(0.1), np.float32(0.1), np.float16(0.1), np.longdouble("0.1"), np.int64(3), np.uint64(2**64 - 1),
+    np.int8(-1), np.bool_(True), np.str_("0.5"), np.complex128(1 + 1j), np.array(0.5), np.array(2),
+]
+
+
+def _loader_corpus() -> list:
+    corpus = [
+        _UNIFORM, [tuple(row) for row in _UNIFORM], tuple(map(tuple, _UNIFORM)), nb.pr().matrix.tolist(),
+        [[1, 0, 0, 0]] * 4, [np.array(row) for row in _UNIFORM], [list(np.float32(_UNIFORM[0]))] * 4,
+        # Whole arrays: int, float and other dtypes, and wrong shapes.
+        np.array(_UNIFORM), np.array(_UNIFORM, dtype=np.float32), np.array(_UNIFORM, dtype=np.longdouble),
+        np.eye(4, dtype=np.int64), np.eye(4, dtype=np.uint8), np.eye(4, dtype=bool), np.eye(4, dtype=complex),
+        np.array(_UNIFORM, dtype=object), np.array([["0.25"] * 4] * 4), np.zeros((3, 4)), np.zeros((4, 4, 1)),
+        np.zeros(16), np.array(0.5), np.asfortranarray(np.arange(16.0).reshape(4, 4)),
+        np.arange(32.0).reshape(4, 8)[:, ::2],
+        # Wrong shapes and nesting.
+        [[0.25] * 4] * 3, [[0.25] * 3] * 4, [0.25] * 16, [], [[]], [[], [], [], []], [[[0.25]] * 4] * 4,
+        [[0.25] * 4] * 3 + [[0.25, 0.25, 0.25, [0.25]]],
+        [[0.25] * 4] * 3 + [0.25], [np.zeros(4)] * 3 + [np.zeros(3)], [[np.zeros(1)] * 4] * 4,
+        # Rows of other sequence types, which numpy reads as rows.
+        [range(4)] * 4, [array.array("d", row) for row in _UNIFORM], [deque(row) for row in _UNIFORM],
+        deque(_UNIFORM), [range(1, 5)] * 3 + [[0.25] * 4],
+        5, 0.5, "abc", "0.5", None, {}, {"matrix": _UNIFORM}, np.float64(0.5),
+        _nested(63), _nested(64), _nested(65), _nested(300),
+    ]
+    # Each hostile entry in place of one entry of the uniform box, and in a (3, 4) table.
+    for entry in _ENTRIES:
+        for at in (0, 15):
+            rows = [list(row) for row in _UNIFORM]
+            rows[at // 4][at % 4] = entry
+            corpus += [rows, rows[:3]]
+        corpus.append([[entry] * 4] * 4)
+    return corpus
+
+
+def test_loader_keeps_numpys_decisions_and_messages():
+    corpus = _loader_corpus()
+    for values in corpus:
+        assert _new_outcome(values) == _outcome(_numpy_as_matrix, values), repr(values)[:200]
+    assert sum(_outcome(_numpy_as_matrix, v)[0] == "ok" for v in corpus) > 20
+
+
+@pytest.mark.parametrize("values", [
+    [[0.25] * 4] * 3 + [[0.25] * 3],
+    [[0.25] * 3, [0.25] * 4, [0.25] * 4, [0.25] * 4],
+    ((0.25,) * 4, (0.25,) * 5, (0.25,) * 4, (0.25,) * 4),
+    [[0.25] * 4, [], [0.25] * 4, [0.25] * 4],
+])
+def test_rows_of_unequal_lengths_get_the_4x4_message(values):
+    # numpy refused these with its "inhomogeneous shape" error.
+    assert "inhomogeneous" in _outcome(_numpy_as_matrix, values)[2]
+    assert _new_outcome(values) == ("error", ValueError, "box matrix must be 4x4, got rows of unequal lengths")
+
+
+def test_loader_keeps_every_bit_of_seeded_tables(rng):
+    for _ in range(300):
+        m = rng.dirichlet(np.ones(4), size=4) * rng.choice([1.0, -1.0, 1e-300, 1e300], size=(4, 4))
+        single = (rng.dirichlet(np.ones(4), size=4) * rng.choice([1.0, -1.0, 1e-30, 1e30], size=(4, 4)))
+        single = single.astype(np.float32)
+        for values in (m, m.tolist(), single, single.tolist(), list(single)):
+            assert _new_outcome(values) == _outcome(_numpy_as_matrix, values)
+
+
+def test_a_box_keeps_the_array_it_was_made_from_and_builds_one_otherwise():
+    arr = np.array(_UNIFORM)
+    box = nb.Box(arr)
+    assert box.matrix is box.matrix and box.matrix is not arr
+    assert box.rows == tuple(map(tuple, _UNIFORM))
+    listed = nb.Box(_UNIFORM)
+    assert "matrix" not in vars(listed)
+    assert listed.matrix is listed.matrix and listed.matrix.tobytes() == box.matrix.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Marginals
+# ---------------------------------------------------------------------------
+
+# Rows that push the marginal sums to their edges: sums that overflow to
+# +-inf, or to NaN once two infinite marginals are subtracted, NaN and
+# infinite entries, signed zeros and subnormals.
+_HOSTILE_ROWS = [
+    [1e308, -1e308, 1e308, -1e308],
+    [-1e308, 1e308, -1e308, 1e308],
+    [1e308, -1e308, -1e308, 1e308],
+    [1e308, 1e308, -1e308, -1e308],
+    [math.nan, 0.25, 0.25, 0.25],
+    [0.25, 0.25, 0.25, math.nan],
+    [math.inf, -math.inf, 0.5, 0.5],
+    [-0.0, 0.5, 0.5, -0.0],
+    [5e-324, 0.5, 0.5, -5e-324],
+    [0.5, 5e-324, 0.0, 0.5],
+    [0.25] * 4,
+    [0.5, 0.0, 0.0, 0.5],
+    [0.0, 0.5, 0.5, 0.0],
+]
+
+
+def _marginal_corpus(rng) -> list[nb.Box]:
+    boxes = [nb.pr(), nb.noise(), nb.p_eps_delta(0.3, 0.02), nb.isotropic(0.8)]
+    boxes += [random_ns_box(rng) for _ in range(150)] + [random_valid_box(rng) for _ in range(50)]
+    for tol in (1e-12, 1e-9, 1e-3):
+        boxes += near_ns_boxes(rng, 30, tol)
+    # Each hostile row at each position among uniform rows, and seeded
+    # boxes of four hostile rows.
+    boxes += [nb.Box([row if r == at else [0.25] * 4 for r in range(4)]) for row in _HOSTILE_ROWS for at in range(4)]
+    picks = rng.integers(len(_HOSTILE_ROWS), size=(1500, 4))
+    boxes += [nb.Box([_HOSTILE_ROWS[i] for i in pick]) for pick in picks]
+    return boxes
+
+
+def test_is_non_signaling_keeps_the_numpy_verdict_and_residual(rng):
+    boxes = _marginal_corpus(rng)
+    reached = nan_bob_gaps = 0
+    for tol in _TOLS:
+        for box in boxes:
+            try:
+                expected = _numpy_is_non_signaling(box, tol)
+            except nb.InvalidBoxError as exc:
+                with pytest.raises(nb.InvalidBoxError, match=f"^{re.escape(str(exc))}$"):
+                    nb.is_non_signaling(box, tol)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # float sums write nothing on stderr
+                got = nb.is_non_signaling(box, tol)
+            assert (got.ok, float.hex(got.residual)) == (expected[0], float.hex(expected[1])), box.rows
+            reached += 1
+            nan_bob_gaps += expected[2]
+    assert reached > 2000
+    assert nan_bob_gaps > 0
+
+
+def test_has_uniform_marginals_keeps_the_numpy_answer(rng):
+    boxes = _marginal_corpus(rng)
+    nan_box = nb.Box([[0.25] * 4] * 3 + [[math.nan, 0.25, 0.25, 0.25]])
+    assert quantum.has_uniform_marginals(nan_box) is False
+    for tol in _TOLS:
+        for box in boxes + [nan_box]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = quantum.has_uniform_marginals(box, tol)
+            assert got is _numpy_has_uniform_marginals(box, tol), (box.rows, tol)

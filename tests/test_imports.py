@@ -1,5 +1,6 @@
 """What each entry point imports: the package namespace loads names on first
-use, and each CLI subcommand loads only the modules it calls."""
+use, and each CLI subcommand loads only the modules it calls. ``chsh``,
+``validate`` and ``quantum`` answer on Python floats and load no numpy."""
 
 from __future__ import annotations
 
@@ -34,10 +35,12 @@ _PUBLIC = (
 
 
 # ``python -m nlboxes`` with its arguments, which writes the loaded
-# ``nlboxes`` modules as the last stderr line when the process exits.
+# ``nlboxes`` modules, and ``numpy`` if it is loaded, as the last stderr line
+# when the process exits.
 _RUN_AS_MAIN = """
 import atexit, runpy, sys
-atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split(".")[0] == "nlboxes"), file=sys.stderr))
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m.split(".")[0] == "nlboxes" or m == "numpy"),
+                              file=sys.stderr))
 sys.argv[0] = "nlboxes"
 runpy.run_module("nlboxes", run_name="__main__", alter_sys=True)
 """
@@ -89,37 +92,48 @@ def test_star_import_binds_every_public_name():
 @pytest.fixture(scope="module")
 def box_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("boxes")
-    files = {"good": nb.p_eps(0.1).to_json(), "truncated": nb.p_eps(0.1).to_json()[:40]}
+    files = {
+        "good": nb.p_eps(0.1).to_json(),
+        "truncated": nb.p_eps(0.1).to_json()[:40],
+        "signaling": nb.Box([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0]]).to_json(),
+        "nan": nb.Box([[float("nan"), 0.5, 0.5, 0.0]] + [[0.25] * 4] * 3).to_json(),
+    }
     for name, text in files.items():
         (root / f"{name}.json").write_text(text)
     return {name: str(root / f"{name}.json") for name in [*files, "missing"]}
 
 
-# Each subcommand's arguments (box files by name), its exit code and the
-# modules it loads besides ``nlboxes``, ``nlboxes.boxes`` and ``nlboxes.cli``.
+# Each subcommand's arguments (box files by name), its exit code, the modules
+# it loads besides ``nlboxes``, ``nlboxes.boxes`` and ``nlboxes.cli``, and
+# whether it loads numpy.
 _SUBCOMMANDS = [
-    (["chsh", "good"], 0, ()),
-    (["chsh", "good", "--format", "csv"], 0, ()),
-    (["validate", "good"], 0, ()),
-    (["chsh", "truncated"], 2, ()),
-    (["chsh", "missing"], 2, ()),
-    (["validate", "truncated"], 2, ()),
-    (["quantum", "good"], 0, ("quantum",)),
-    (["quantum", "--correlators", "0.5,0.5,0.5,-0.5"], 0, ("quantum",)),
-    (["distill", "--eps", "0.1", "--n", "1..3"], 0, ("distill", "quantum", "wiring")),
-    (["optimize", "--n-max", "2"], 0, ("distill", "quantum", "wiring")),
-    (["game", "good"], 0, ("games", "wiring")),
-    (["game", "--eps", "0.1", "--m", "2"], 0, ("games", "wiring")),
-    (["depolarize", "good"], 0, ("symmetry", "wiring")),
-    (["search", "good"], 0, ("search", "wiring")),
+    (["chsh", "good"], 0, (), False),
+    (["chsh", "good", "--format", "csv"], 0, (), False),
+    (["chsh", "good", "--format", "json"], 0, (), False),
+    (["validate", "good"], 0, (), False),
+    (["chsh", "truncated"], 2, (), False),
+    (["chsh", "missing"], 2, (), False),
+    (["chsh", "signaling"], 1, (), False),
+    (["chsh", "nan"], 1, (), False),
+    (["validate", "truncated"], 2, (), False),
+    (["validate", "signaling"], 1, (), False),
+    (["quantum", "good"], 0, ("quantum",), False),
+    (["quantum", "--correlators", "0.5,0.5,0.5,-0.5"], 0, ("quantum",), False),
+    (["distill", "--eps", "0.1", "--n", "1..3"], 0, ("distill", "quantum", "wiring"), True),
+    (["optimize", "--n-max", "2"], 0, ("distill", "quantum", "wiring"), True),
+    (["game", "good"], 0, ("games", "wiring"), True),
+    (["game", "--eps", "0.1", "--m", "2"], 0, ("games", "wiring"), True),
+    (["depolarize", "good"], 0, ("symmetry", "wiring"), True),
+    (["search", "good"], 0, ("search", "wiring"), True),
 ]
 
 
-@pytest.mark.parametrize("argv, code, loaded", _SUBCOMMANDS, ids=[" ".join(c[0]) for c in _SUBCOMMANDS])
-def test_each_subcommand_loads_only_its_modules(argv, code, loaded, box_files):
+@pytest.mark.parametrize("argv, code, loaded, numpy", _SUBCOMMANDS, ids=[" ".join(c[0]) for c in _SUBCOMMANDS])
+def test_each_subcommand_loads_only_its_modules(argv, code, loaded, numpy, box_files):
     # Run as ``python -m nlboxes`` runs, and list the package's modules at exit.
     # (``-X importtime`` would miss a module that a first access imports.)
     done = _python("-c", _RUN_AS_MAIN, *[box_files.get(a, a) for a in argv])
     assert done.returncode == code, done.stderr
     assert done.stderr.splitlines()[-1].split() == sorted(["nlboxes", "nlboxes.boxes", "nlboxes.cli",
-                                                           *(f"nlboxes.{m}" for m in loaded)])
+                                                           *(f"nlboxes.{m}" for m in loaded),
+                                                           *(["numpy"] if numpy else [])])
