@@ -422,11 +422,10 @@ def is_non_signaling(box: Box, tol: float = DEFAULT_TOL) -> NonSignalingCheck:
     # Alice's rows 2x and 2x + 1 differ only in y; Bob's rows y and 2 + y only in x.
     alice_gap = _peak([abs(p - q) for r in (0, 2) for p, q in zip(alice[r], alice[r + 1])])
     bob_gap = _peak([abs(p - q) for r in (0, 1) for p, q in zip(bob[r], bob[r + 2])])
-    # Python's max of the two keeps a known fault of the numpy code this
-    # replaced, so that every verdict stays the same: a NaN Bob gap does not
-    # replace Alice's, and a box whose Bob marginals are NaN can pass.
-    # ``_peak`` of both gaps would refuse it.
-    worst = max(alice_gap, bob_gap)
+    # ``_peak`` of the two, not Python's ``max``, which would return Alice's
+    # gap beside a NaN Bob gap: a NaN gap makes the box signaling, with
+    # residual NaN.
+    worst = _peak([alice_gap, bob_gap])
     return NonSignalingCheck(worst <= tol, worst)
 
 

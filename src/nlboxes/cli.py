@@ -8,12 +8,14 @@ one stderr line. Tolerance errors take the same path: ``--tol`` is parsed
 as a float and ``run`` checks it with ``check_tol`` before dispatch.
 
 Each process runs one subcommand, so each ``_cmd_*`` imports the module it
-calls and this module imports ``boxes`` only: ``chsh`` and ``validate``
-load neither the search nor the optimizer. A box holds its entries as
-Python floats, and ``boxes`` and ``quantum`` answer on them, so ``chsh``,
-``validate`` and ``quantum`` import no numpy, unless a box file holds a
-table that is not four rows of four numbers. ``search``, ``distill``, ``optimize``, ``game`` and ``depolarize``
-import it with the modules they call, which read a box's ``matrix`` array.
+calls, after reading its box file, and this module imports ``boxes`` only:
+``chsh`` and ``validate`` load neither the search nor the optimizer. A box
+holds its entries as Python floats, and ``boxes``, ``quantum``, ``wiring``,
+``games`` and ``symmetry`` answer on them, so ``chsh``, ``validate``,
+``quantum``, ``distill``, ``game`` and ``depolarize`` import no numpy,
+unless a box file holds a table that is not four rows of four numbers.
+``search`` and ``optimize`` import it, for the search's tables and the
+optimizer's grid, once their box file or arguments have been checked.
 """
 
 from __future__ import annotations
@@ -160,9 +162,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    box = load_box(args.box)  # before the import: a bad file exits 2 without loading numpy
     from . import search
 
-    result = search.search_2copy(load_box(args.box), tol=args.tol)
+    result = search.search_2copy(box, tol=args.tol)
     if args.format == "table":
         print(f"NL_in  {result.nl_in:.9g}")
         print(f"NL_out {result.nl_out:.9g} ({'distilled' if result.distilled else 'no gain'})")
@@ -178,15 +181,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_depolarize(args) -> int:
+    box = load_box(args.box)
     from . import symmetry
 
-    print(symmetry.depolarize(load_box(args.box), args.tol).to_json())
+    print(symmetry.depolarize(box, args.tol).to_json())
     return 0
 
 
 def _cmd_game(args) -> int:
-    from . import games
-
     if args.box is not None:
         if args.eps is not None or args.delta is not None:
             raise ValueError("game takes a box file or --eps/--delta, not both")
@@ -197,6 +199,8 @@ def _cmd_game(args) -> int:
         raise ValueError("game needs a box file or --eps")
     if not 1 <= args.m <= MAX_XOR_COPIES:
         raise ValueError(f"--m must be in 1..{MAX_XOR_COPIES}, got {args.m}")
+    from . import games
+
     result = games.play_and_game(resource, args.m, args.tol)
     if args.format == "json":
         print(json.dumps(result.to_json_dict()))

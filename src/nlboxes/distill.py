@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from itertools import chain
+from typing import TYPE_CHECKING
 
 from .boxes import (
     DEFAULT_TOL,
@@ -57,6 +57,9 @@ from .boxes import (
 )
 from .quantum import is_quantum_correlators
 from .wiring import _xor_powers
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Strictness margin for calling a point distillable; keeps boundary points
 # from flipping on rounding noise.
@@ -174,8 +177,8 @@ def distillation_report(
 
     ``n_values`` is read once, so any iterable works; the rows follow its
     order, duplicates included. The resource is composed once, up to the
-    largest n, as one (n_max, 4, 4) stack that is reduced to correlators in
-    one batch; each row reads its n off that batch: the same numbers as
+    largest n, and the rows of every copy count are reduced to correlators
+    in one pass; each row reads its n off that pass: the same numbers as
     ``compose_xor`` at that n, bit for bit. The closed form and the
     composition are compared on every row at the rounding bound
     ``_report_tol(n)``; ``tol`` only checks the resource and decides whether
@@ -201,7 +204,7 @@ def distillation_report(
         Correlators(1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * delta, 1.0 - 2.0 * eps), tol
     )
     # Entries 4k - 4 to 4k - 1 hold the correlators of the k-copy box.
-    correlators = _correlator_rows(_xor_powers(resource, max(ns, default=1)).reshape(-1, 4).tolist())
+    correlators = _correlator_rows(chain.from_iterable(_xor_powers(resource, max(ns, default=1))))
     nl_in = nl_closed_eps_delta(eps, delta, 1)
     rows = []
     for n in ns:
@@ -232,6 +235,8 @@ def _grid(ns: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     bit for bit the pow that the same 2 gets inside a larger grid. So each
     row gives the same bits alone as in any grid with more than one column.
     """
+    import numpy as np
+
     n = np.repeat(ns[:, None].astype(float), delta.size, axis=1)
     d = 1.0 - 2.0 * delta[None, :]
     # Quantum boundary 3*asin(d) - asin(e) <= pi; it binds only for d > 1/2.
@@ -243,6 +248,8 @@ def _bound(ns: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
     Holds in floating point up to pow's ulp error: see the module docstring.
     """
+    import numpy as np
+
     n, d, e_q = _grid(ns, delta)
     return 3.0 * d**n - np.maximum(e_q, 0.0) ** n
 
@@ -253,6 +260,8 @@ def _lowest_feasible(ns: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.
     ``ns`` indexes the rows and ``delta`` the columns. The value is -inf
     where no eps is feasible for that pair.
     """
+    import numpy as np
+
     n, d, e_q = _grid(ns, delta)
     # Gain root: the gain rises in e on [0, n**(-1/(n-1))]; bisect there for the
     # smallest e that passes the gain check as written, kept in (hi - 2*width, hi].
@@ -279,6 +288,8 @@ def _best(
     Under a ``floor`` the n rows whose bound stays below it are skipped, as
     none of their values reaches it; value is -inf when every row is.
     """
+    import numpy as np
+
     if floor is not None:
         ns = ns[_bound(ns, delta).max(axis=1) + _BOUND_SLACK >= floor]
         if not ns.size:
@@ -336,6 +347,8 @@ def optimize_quantum_distillation(
     if fixed_delta is not None:
         fixed_delta = _check_unit(fixed_delta, "fixed_delta")
 
+    import numpy as np
+
     ns = np.arange(2, n_max + 1)
     if fixed_delta is not None:
         best = _best(ns, np.array([fixed_delta], dtype=float))
@@ -354,7 +367,7 @@ def optimize_quantum_distillation(
                 best = found
             step /= 10.0
     value, n_star, e_star, delta_star = best
-    if value == -np.inf:
+    if value == -math.inf:
         raise InfeasibleRegionError("no feasible (eps, delta, n) point")
 
     eps_star = _inside(n_star, e_star, delta_star)

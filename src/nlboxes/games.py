@@ -12,10 +12,10 @@ For a resource with CHSH functional S = X00 + X01 + X10 - X11 the win
 probability is q**2 + (1-q)**2 with q = (4 + S) / 8. The authority is the
 literal enumeration in ``_win_probability``, which ``and_game_success``
 runs; tests check the closed form against it. ``play_and_game`` reads the
-same value as one gathered product: the flat cells of the 128 winning
-products are fixed at import in the enumeration's order, and their terms
-are summed in that order from 0.0, so the result is the enumeration's bit
-for bit, signed zeros included.
+same value off a table: the flat cells of the 128 winning products are
+fixed at import in the enumeration's order, and their products are added
+in that order from 0.0 on the box's Python floats, so the result is the
+enumeration's bit for bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from .boxes import DEFAULT_TOL, Box, _check_int, _correlators, chsh_values, nl_correlators, require_non_signaling
 from .wiring import MAX_XOR_COPIES, _compose_xor
@@ -65,24 +63,25 @@ def _win_probability(box: Box) -> float:
 
 
 # Flat cells (i, j) of the 128 winning products, in ``_win_probability``'s order.
-_WIN_I, _WIN_J = np.array([
+_WIN_CELLS = tuple(
     (4 * (2 * x1 + y2) + 2 * a1 + b1, 4 * (2 * x2 + y1) + 2 * a2 + b2)
     for x1, x2, y1, y2 in product((0, 1), repeat=4)
     for a1, b1, a2, b2 in product((0, 1), repeat=4)
     if ((x1 & x2) ^ a1 ^ a2 ^ (y1 & y2) ^ b1 ^ b2) == ((x1 ^ y1) & (x2 ^ y2))
-]).T
+)
 
 
 def _gathered_win_probability(box: Box) -> float:
-    """``_win_probability`` as one gathered product over the winning cells.
-
-    ``np.add.accumulate`` adds left to right, like the loop's ``total +=``,
-    where ``np.sum`` would add pairwise. The leading 0.0 is the loop's
-    start, so every partial sum is the loop's own, signed zeros included.
-    """
-    f = box.matrix.ravel()
-    terms = np.concatenate(((0.0,), f[_WIN_I] * f[_WIN_J]))
-    return np.add.accumulate(terms)[-1] / 16.0
+    """``_win_probability`` read off ``_WIN_CELLS``: each winning product is
+    added left to right from 0.0, like the loop's ``total +=``, so every
+    partial sum is the loop's own, signed zeros included. (``sum`` of
+    floats is compensated from Python 3.12 on, so the additions are
+    written out.)"""
+    f = [v for row in box.rows for v in row]
+    total = 0.0
+    for i, j in _WIN_CELLS:
+        total += f[i] * f[j]
+    return total / 16.0
 
 
 def and_game_success(strategy: AndGameStrategy, tol: float = DEFAULT_TOL) -> float:

@@ -13,10 +13,9 @@ eta = S/4, so S is preserved exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .boxes import (
     CHSH_SIGNS,
@@ -30,6 +29,9 @@ from .boxes import (
     require_valid,
 )
 from .wiring import AdaptiveStrategy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,20 +57,29 @@ class Relabeling:
                 raise ValueError(f"{field.name} must be 0 or 1, got {_shown(bit)}")
             object.__setattr__(self, field.name, int(bit))
 
-    def permutation(self) -> np.ndarray:
-        """Flat cell permutation: result.flat[i] = box.flat[perm[i]]."""
-        perm = np.empty(16, dtype=np.intp)
+    @cached_property
+    def cells(self) -> tuple[int, ...]:
+        """Flat cell permutation as 16 ints: result flat cell i is box flat cell ``cells[i]``.
+        Computed on first access and kept."""
+        cells = [0] * 16
         for x, y, a, b in product((0, 1), repeat=4):
             sx = x ^ self.flip_x
             sy = y ^ self.flip_y
             sa = a ^ (self.a_flip_with_x & x) ^ self.flip_a
             sb = b ^ (self.b_flip_with_y & y) ^ self.flip_b
-            perm[4 * (2 * x + y) + 2 * a + b] = 4 * (2 * sx + sy) + 2 * sa + sb
-        return perm
+            cells[4 * (2 * x + y) + 2 * a + b] = 4 * (2 * sx + sy) + 2 * sa + sb
+        return tuple(cells)
+
+    def permutation(self) -> np.ndarray:
+        """``cells`` as an intp array: result.flat[i] = box.flat[perm[i]]. Imports numpy."""
+        import numpy as np
+
+        return np.array(self.cells, dtype=np.intp)
 
     def apply(self, box: Box) -> Box:
-        flat = np.asarray(box.matrix).reshape(16)
-        return Box(flat[self.permutation()].reshape(4, 4))
+        flat = [v for row in box.rows for v in row]
+        image = [flat[c] for c in self.cells]
+        return Box([image[0:4], image[4:8], image[8:12], image[12:16]])
 
 
 @lru_cache(maxsize=1)
@@ -83,27 +94,32 @@ def relabelings() -> tuple[Relabeling, ...]:
 # input pair (row) times that correlator's sign (-1)**(a XOR b) on the output
 # pair (column). Only the stabilizer reads them; S itself is read off the
 # correlators.
-_S_WEIGHTS = np.outer(CHSH_SIGNS[0], (1.0, -1.0, -1.0, 1.0)).ravel()
+_S_WEIGHTS = tuple(s * t for s in CHSH_SIGNS[0] for t in (1.0, -1.0, -1.0, 1.0))
 
 
 @lru_cache(maxsize=1)
 def _permutations() -> np.ndarray:
-    """Row i is ``relabelings()[i].permutation()``."""
-    table = np.stack([sigma.permutation() for sigma in relabelings()])
+    """Row i is ``relabelings()[i].permutation()``. Imports numpy."""
+    import numpy as np
+
+    table = np.array([sigma.cells for sigma in relabelings()], dtype=np.intp)
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=1)
-def _stabilizer_rows() -> np.ndarray:
-    """Rows of ``_permutations()`` that leave the coefficients of S unchanged."""
-    return np.flatnonzero((_S_WEIGHTS[_permutations()] == _S_WEIGHTS).all(axis=1))
+def chsh_stabilizer() -> tuple[Relabeling, ...]:
+    """Relabelings that preserve S as a functional on all boxes."""
+    return tuple(
+        sigma for sigma in relabelings() if tuple(_S_WEIGHTS[c] for c in sigma.cells) == _S_WEIGHTS
+    )
 
 
 @lru_cache(maxsize=1)
-def chsh_stabilizer() -> tuple[Relabeling, ...]:
-    """Relabelings that preserve S as a functional on all boxes."""
-    return tuple(relabelings()[i] for i in _stabilizer_rows())
+def _depolarize_sources() -> tuple[tuple[int, ...], ...]:
+    """Per flat cell, the cell each image under ``chsh_stabilizer()`` reads
+    it from, in the stabilizer's order."""
+    return tuple(zip(*(sigma.cells for sigma in chsh_stabilizer())))
 
 
 def chsh_functional(box: Box) -> float:
@@ -121,13 +137,21 @@ def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:
     """Average over the S-preserving relabelings; exact isotropic output.
 
     The result has correlators (S/4, S/4, S/4, -S/4) and uniform marginals,
-    with S taken from the input box.
+    with S taken from the input box. Each cell adds its images under the
+    stabilizer one at a time from 0.0 on the box's Python floats, then
+    divides by their count, so rounding and signed zeros follow that one
+    order.
     """
     require_non_signaling(box, tol)
-    images = np.asarray(box.matrix).reshape(16)[_permutations()[_stabilizer_rows()]]
-    # Summed one image at a time from 0.0, so rounding and signed zeros do
-    # not depend on how numpy would reduce the stack.
-    return Box((sum(images, 0.0) / len(images)).reshape(4, 4))
+    flat = [v for row in box.rows for v in row]
+    out = []
+    for sources in _depolarize_sources():
+        # Written out: ``sum`` of floats is compensated from Python 3.12 on.
+        total = 0.0
+        for c in sources:
+            total += flat[c]
+        out.append(total / len(sources))
+    return Box([out[0:4], out[4:8], out[8:12], out[12:16]])
 
 
 def canonical_form(obj: Box | AdaptiveStrategy):
@@ -140,6 +164,8 @@ def canonical_form(obj: Box | AdaptiveStrategy):
     ``InvalidBoxError``.
     """
     if isinstance(obj, Box):
+        import numpy as np
+
         require_valid(obj)
         images = np.asarray(obj.matrix).reshape(16)[_permutations()]
         # lexsort's last key is the primary one; ties keep the first relabeling.

@@ -18,8 +18,6 @@ import sys
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .boxes import (
     DEFAULT_TOL,
     MAX_XOR_COPIES,
@@ -41,8 +39,8 @@ def compose_xor(box: Box, n: int, tol: float = DEFAULT_TOL) -> Box:
     Exact: for each input pair, the row of the result is the n-fold
     convolution of the copy's outcome distribution over XOR of output
     pairs, which sums the same products as enumerating all 4**n outcome
-    tuples. The convolution runs as n - 1 whole-array steps over all four
-    rows at once (see ``_xor_powers``). Requires 1 <= n <= 16. For several
+    tuples. The convolution runs as n - 1 steps over the four rows as
+    Python floats (see ``_xor_powers``). Requires 1 <= n <= 16. For several
     n of one box, ``distillation_report`` composes once and reads each n
     off that run.
     """
@@ -56,29 +54,29 @@ def _compose_xor(box: Box, n: int) -> Box:
     return Box(_xor_powers(box, n)[-1])
 
 
-# XOR of outcome-pair indices: outcome pairs (a, b) are indexed by 2a+b, so
-# XOR of pairs is XOR of indices.
-_XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+def _xor_powers(box: Box, n_max: int) -> list[tuple[tuple[float, ...], ...]]:
+    """Rows of the 1- to ``n_max``-copy XOR compositions, as Python floats.
 
-
-def _xor_powers(box: Box, n_max: int) -> np.ndarray:
-    """Rows of the 1- to ``n_max``-copy XOR compositions.
-
-    Entry k - 1 of the (n_max, 4, 4) result holds the rows of k copies.
-    Each copy adds one whole-array step over all four rows. With
-    ``shifted[r, i, j]`` the entry ``row_r[i ^ j]`` and ``acc`` the previous
-    step, the products ``t = acc[:, :, None] * shifted`` are summed over i
-    as ``(((0.0 + t[:, 0]) + t[:, 1]) + t[:, 2]) + t[:, 3]``. That is each
-    entry's order in ``sum(acc[i] * row[i ^ j] for i in range(4))``,
-    including the start from 0, which turns a -0.0 first term into +0.0, so
-    every step is bit for bit that scalar convolution.
+    Entry k - 1 of the result holds the four rows of k copies. Outcome pairs
+    (a, b) are indexed by 2a + b, so the XOR of two pairs is the XOR of their
+    indices, and each copy adds one step per row: with ``acc`` the previous
+    step's row and ``r`` the box's row, entry j is
+    ``(((0.0 + acc[0] * r[0 ^ j]) + acc[1] * r[1 ^ j]) + acc[2] * r[2 ^ j]) + acc[3] * r[3 ^ j]``,
+    written out below for j = 0..3: the scalar convolution, added left to
+    right from 0.0, which turns a -0.0 first term into +0.0. The additions
+    are spelled out because ``sum`` of floats is compensated from Python
+    3.12 on.
     """
-    shifted = box.matrix[:, _XOR]
-    powers = np.empty((n_max, 4, 4))
-    powers[0] = acc = box.matrix
-    for k in range(1, n_max):
-        t = acc[:, :, None] * shifted
-        powers[k] = acc = (((0.0 + t[:, 0]) + t[:, 1]) + t[:, 2]) + t[:, 3]
+    rows = box.rows
+    powers = [rows]
+    for _ in range(1, n_max):
+        powers.append(tuple(
+            ((((0.0 + a0 * r0) + a1 * r1) + a2 * r2) + a3 * r3,
+             (((0.0 + a0 * r1) + a1 * r0) + a2 * r3) + a3 * r2,
+             (((0.0 + a0 * r2) + a1 * r3) + a2 * r0) + a3 * r1,
+             (((0.0 + a0 * r3) + a1 * r2) + a2 * r1) + a3 * r0)
+            for (a0, a1, a2, a3), (r0, r1, r2, r3) in zip(powers[-1], rows)
+        ))
     return powers
 
 

@@ -260,6 +260,24 @@ def test_overflowing_marginals_at_a_huge_tol_write_no_warning(command, stdout, s
     assert (done.returncode, done.stdout, done.stderr) == (1, stdout, stderr)
 
 
+@pytest.mark.parametrize("command, stdout, stderr", [
+    ("validate", "rows: valid probability distributions (tol 1e+308)\n"
+                 "non-signaling: NO (worst marginal discrepancy nan)\n", ""),
+    ("chsh", "", "box is signaling: worst marginal discrepancy nan\n"),
+], ids=["validate", "chsh"])
+def test_a_nan_bob_gap_makes_the_box_signaling(command, stdout, stderr, tmp_path):
+    # Rows 00 and 10 are valid at --tol 1e308 (each sums to 0), and Bob's
+    # marginals are (inf, -inf) in both, so both Bob gaps are inf - inf =
+    # NaN. Alice's gap is 0.5; taking it in place of the NaN passed the box.
+    path = tmp_path / "nan_bob.json"
+    ovf = [1e308, -1e308, 1e308, -1e308]
+    path.write_text(json.dumps({"matrix": [ovf, [0.25] * 4, ovf, [0.25] * 4]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(nb.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "nlboxes", command, str(path), "--tol", "1e308"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, stdout, stderr)
+
+
 def test_search_json(tmp_path, capsys):
     path = tmp_path / "iso.json"
     path.write_text(nb.isotropic(0.6).to_json())

@@ -1,6 +1,7 @@
 """The box core on Python floats against test-local copies of the numpy code
 it replaced: the loader's decisions and messages, the non-signaling verdict
-and residual, and the uniform-marginal test, bit for bit."""
+and residual, the uniform-marginal test, the XOR powers, the AND game's win
+probability, the relabelings and depolarization, bit for bit."""
 
 from __future__ import annotations
 
@@ -12,13 +13,15 @@ import warnings
 from collections import deque
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 import nlboxes as nb
-from nlboxes import quantum
-from conftest import near_ns_boxes, random_ns_box, random_valid_box
+from nlboxes import games, quantum
+from nlboxes.wiring import _xor_powers
+from conftest import dusty_ns_boxes, near_ns_boxes, ns_vertices, random_ns_box, random_valid_box
 
 _TOLS = [0.0, 1e-12, 1e-9, 1e-3, 0.5, 1e308]
 
@@ -56,14 +59,17 @@ def _numpy_marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _numpy_is_non_signaling(box: nb.Box, tol: float) -> tuple[bool, float, bool]:
-    """The verdict, the residual, and whether Bob's gap is NaN (Python's
-    ``max`` then returns Alice's)."""
+    """The verdict, the residual, and whether Bob's gap alone is NaN. The
+    two gaps are taken by numpy's ``max``, so a NaN gap of either party
+    makes the residual NaN and the box signaling. (The numpy code took them
+    by Python's ``max``, which returned Alice's gap beside a NaN Bob gap.)"""
     nb.require_valid(box, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         alice, bob = _numpy_marginals(box.matrix)
+        alice_gap = np.abs(alice[0::2] - alice[1::2]).max()
         bob_gap = np.abs(bob[:2] - bob[2:]).max()
-        worst = float(max(np.abs(alice[0::2] - alice[1::2]).max(), bob_gap))
-    return worst <= tol, worst, bool(np.isnan(bob_gap))
+        worst = float(np.max([alice_gap, bob_gap]))
+    return worst <= tol, worst, bool(np.isnan(bob_gap) and not np.isnan(alice_gap))
 
 
 def _numpy_has_uniform_marginals(box: nb.Box, tol: float) -> bool:
@@ -250,3 +256,126 @@ def test_has_uniform_marginals_keeps_the_numpy_answer(rng):
                 warnings.simplefilter("error")
                 got = quantum.has_uniform_marginals(box, tol)
             assert got is _numpy_has_uniform_marginals(box, tol), (box.rows, tol)
+
+
+# ---------------------------------------------------------------------------
+# XOR composition, the AND game and the relabelings
+# ---------------------------------------------------------------------------
+
+# The numpy forms of ``_xor_powers``, ``_gathered_win_probability``,
+# ``Relabeling.permutation``/``apply`` and ``depolarize`` that the float
+# paths replaced.
+_XOR = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+
+
+def _numpy_xor_powers(box: nb.Box, n_max: int) -> np.ndarray:
+    shifted = box.matrix[:, _XOR]
+    powers = np.empty((n_max, 4, 4))
+    powers[0] = acc = box.matrix
+    for k in range(1, n_max):
+        t = acc[:, :, None] * shifted
+        powers[k] = acc = (((0.0 + t[:, 0]) + t[:, 1]) + t[:, 2]) + t[:, 3]
+    return powers
+
+
+_WIN_I, _WIN_J = np.array([
+    (4 * (2 * x1 + y2) + 2 * a1 + b1, 4 * (2 * x2 + y1) + 2 * a2 + b2)
+    for x1, x2, y1, y2 in product((0, 1), repeat=4)
+    for a1, b1, a2, b2 in product((0, 1), repeat=4)
+    if ((x1 & x2) ^ a1 ^ a2 ^ (y1 & y2) ^ b1 ^ b2) == ((x1 ^ y1) & (x2 ^ y2))
+]).T
+
+
+def _numpy_gathered_win_probability(box: nb.Box) -> float:
+    f = box.matrix.ravel()
+    terms = np.concatenate(((0.0,), f[_WIN_I] * f[_WIN_J]))
+    return np.add.accumulate(terms)[-1] / 16.0
+
+
+def _numpy_permutation(sigma: nb.Relabeling) -> np.ndarray:
+    perm = np.empty(16, dtype=np.intp)
+    for x, y, a, b in product((0, 1), repeat=4):
+        sx = x ^ sigma.flip_x
+        sy = y ^ sigma.flip_y
+        sa = a ^ (sigma.a_flip_with_x & x) ^ sigma.flip_a
+        sb = b ^ (sigma.b_flip_with_y & y) ^ sigma.flip_b
+        perm[4 * (2 * x + y) + 2 * a + b] = 4 * (2 * sx + sy) + 2 * sa + sb
+    return perm
+
+
+def _numpy_apply(sigma: nb.Relabeling, box: nb.Box) -> np.ndarray:
+    return np.asarray(box.matrix).reshape(16)[_numpy_permutation(sigma)].reshape(4, 4)
+
+
+_NUMPY_S_WEIGHTS = np.outer(nb.boxes.CHSH_SIGNS[0], (1.0, -1.0, -1.0, 1.0)).ravel()
+
+
+def _numpy_depolarize(box: nb.Box, tol: float = nb.DEFAULT_TOL) -> np.ndarray:
+    nb.require_non_signaling(box, tol)
+    perms = np.stack([_numpy_permutation(sigma) for sigma in nb.relabelings()])
+    stabilizer = np.flatnonzero((_NUMPY_S_WEIGHTS[perms] == _NUMPY_S_WEIGHTS).all(axis=1))
+    images = np.asarray(box.matrix).reshape(16)[perms[stabilizer]]
+    # Python's sum over the image rows (arrays, so never compensated).
+    return (sum(images, 0.0) / len(images)).reshape(4, 4)
+
+
+def _hex(values) -> list[str]:
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+def _float_path_corpus(rng) -> list[nb.Box]:
+    """Seeded non-signaling boxes, each built from an ndarray and from lists:
+    family members, mixtures of vertices, vertices whose zeros are -0.0, and
+    boxes with dust in [-1e-9, 0)."""
+    tables = [nb.pr().matrix, nb.noise().matrix, nb.p_eps_delta(0.3, 0.02).matrix, nb.isotropic(0.8).matrix]
+    tables += [np.asarray(random_ns_box(rng).matrix) for _ in range(60)]
+    tables += [np.where(v.matrix == 0.0, -0.0, v.matrix) for v in ns_vertices()]
+    tables += [np.asarray(b.matrix) for b in dusty_ns_boxes(rng, 40)]
+    boxes = []
+    for table in tables:
+        boxes += [nb.Box(np.array(table)), nb.Box(np.array(table).tolist())]
+    assert sum("matrix" in vars(b) for b in boxes) == len(tables)  # half keep their array
+    return boxes
+
+
+def test_float_paths_keep_the_numpy_bits(rng):
+    boxes = _float_path_corpus(rng)
+    signed_zeros = dust = 0
+    for box in boxes:
+        m = np.asarray(box.matrix)
+        signed_zeros += bool((np.signbit(m) & (m == 0.0)).any())
+        dust += bool(((m < 0.0) & (m >= -1e-9)).any())
+        want = _numpy_xor_powers(box, 16)
+        got = _xor_powers(box, 16)
+        assert [_hex(step) for step in got] == [_hex(step) for step in want], box.rows
+        for n in (1, 2, 3, 7, 16):
+            assert _hex(nb.compose_xor(box, n).rows) == _hex(want[n - 1])
+        for m in (1, 2, 4):
+            success = nb.play_and_game(box, m).success
+            assert float.hex(success) == float.hex(_numpy_gathered_win_probability(nb.Box(want[m - 1])))
+        assert _hex(nb.depolarize(box).rows) == _hex(_numpy_depolarize(box))
+        for sigma in nb.relabelings():
+            assert _hex(sigma.apply(box).rows) == _hex(_numpy_apply(sigma, box))
+    assert signed_zeros >= 30 and dust >= 60
+
+
+def test_float_win_probability_keeps_the_numpy_bits_on_any_table(rng):
+    # Not boxes: -0.0 tables and signed entries spanning 1e-170 to 1e149, so
+    # that products underflow to signed zeros and sums cancel.
+    tables = [np.full((4, 4), -0.0), np.where(np.eye(4) == 1.0, -0.0, 0.25)]
+    tables += [rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-170, 150, (4, 4)) for _ in range(300)]
+    for table in tables:
+        for box in (nb.Box(table), nb.Box(table.tolist())):
+            with np.errstate(all="ignore"):  # products and sums that overflow
+                want_win, want_powers = _numpy_gathered_win_probability(box), _numpy_xor_powers(box, 16)
+            assert float.hex(games._gathered_win_probability(box)) == float.hex(want_win)
+            assert [_hex(step) for step in _xor_powers(box, 16)] == [_hex(step) for step in want_powers]
+
+
+def test_relabeling_cells_are_the_numpy_permutation():
+    for sigma in nb.relabelings():
+        cells = sigma.cells
+        assert type(cells) is tuple and all(type(c) is int for c in cells)
+        perm = sigma.permutation()
+        assert perm.dtype == np.intp and np.array_equal(perm, _numpy_permutation(sigma))
+        assert cells == tuple(perm.tolist())

@@ -155,9 +155,9 @@ def test_gathered_sum_matches_the_enumeration_on_any_table(rng):
 
 
 def test_winning_cells_are_128_distinct_pairs():
-    cells = list(zip(games._WIN_I.tolist(), games._WIN_J.tolist()))
-    assert len(cells) == len(set(cells)) == 128
-    assert all(0 <= i < 16 and 0 <= j < 16 for i, j in cells)
+    cells = games._WIN_CELLS
+    assert type(cells) is tuple and len(cells) == len(set(cells)) == 128
+    assert all(type(i) is int and type(j) is int and 0 <= i < 16 and 0 <= j < 16 for i, j in cells)
 
 
 def test_play_and_game_never_runs_the_enumeration(monkeypatch):

@@ -1,6 +1,8 @@
 """What each entry point imports: the package namespace loads names on first
 use, and each CLI subcommand loads only the modules it calls. ``chsh``,
-``validate`` and ``quantum`` answer on Python floats and load no numpy."""
+``validate``, ``quantum``, ``distill``, ``game`` and ``depolarize`` answer
+on Python floats and load no numpy; ``search`` reads its box file before it
+loads the search, and with it numpy."""
 
 from __future__ import annotations
 
@@ -119,12 +121,16 @@ _SUBCOMMANDS = [
     (["validate", "signaling"], 1, (), False),
     (["quantum", "good"], 0, ("quantum",), False),
     (["quantum", "--correlators", "0.5,0.5,0.5,-0.5"], 0, ("quantum",), False),
-    (["distill", "--eps", "0.1", "--n", "1..3"], 0, ("distill", "quantum", "wiring"), True),
+    (["distill", "--eps", "0.1", "--n", "1..3"], 0, ("distill", "quantum", "wiring"), False),
+    (["distill", "--eps", "0.3", "--delta", "0.02", "--n", "1..16", "--format", "csv"], 0,
+     ("distill", "quantum", "wiring"), False),
+    (["distill", "--eps", "0.1", "--n", "1..16", "--format", "json"], 0, ("distill", "quantum", "wiring"), False),
     (["optimize", "--n-max", "2"], 0, ("distill", "quantum", "wiring"), True),
-    (["game", "good"], 0, ("games", "wiring"), True),
-    (["game", "--eps", "0.1", "--m", "2"], 0, ("games", "wiring"), True),
-    (["depolarize", "good"], 0, ("symmetry", "wiring"), True),
+    (["game", "good"], 0, ("games", "wiring"), False),
+    (["game", "--eps", "0.1", "--m", "2"], 0, ("games", "wiring"), False),
+    (["depolarize", "good"], 0, ("symmetry", "wiring"), False),
     (["search", "good"], 0, ("search", "wiring"), True),
+    (["search", "missing"], 2, (), False),
 ]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nlboxes as nb
-from nlboxes.symmetry import _S_WEIGHTS
+from nlboxes.symmetry import _S_WEIGHTS, _depolarize_sources
 from conftest import assert_boxes_close, dusty_ns_boxes, ns_vertices, random_ns_box, random_valid_box
 
 TOL = 1e-9
@@ -154,8 +154,11 @@ def _canonical_by_tuples(box: nb.Box) -> nb.Box:
 def _depolarize_by_loop(box: nb.Box) -> nb.Box:
     """Reference depolarization: add the images under each S-preserving relabeling."""
     flat = np.asarray(box.matrix).reshape(16)
-    group = [s for s in nb.relabelings() if np.array_equal(_S_WEIGHTS[s.permutation()], _S_WEIGHTS)]
+    weights = np.array(_S_WEIGHTS)
+    group = [s for s in nb.relabelings() if np.array_equal(weights[s.permutation()], weights)]
     assert tuple(group) == nb.chsh_stabilizer()
+    # The table depolarize reads: per flat cell, its source in each image.
+    assert _depolarize_sources() == tuple(zip(*(s.permutation().tolist() for s in group)))
     acc = np.zeros(16)
     for sigma in group:
         acc += flat[sigma.permutation()]

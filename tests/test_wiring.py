@@ -170,9 +170,11 @@ def test_xor_powers_steps_match_single_n_bit_for_bit(rng):
     for box in _xor_kernel_corpus(rng):
         dust += int(np.any((box.matrix < 0.0) & (box.matrix >= -nb.DEFAULT_TOL)))
         powers = _xor_powers(box, 16)
-        assert powers.shape == (16, 4, 4)
+        assert len(powers) == 16 and powers[0] == box.rows
         for k in range(1, 17):
-            step = powers[k - 1]
+            assert all(len(row) == 4 and all(type(v) is float for v in row) for row in powers[k - 1])
+            step = np.array(powers[k - 1])
+            assert step.shape == (4, 4)
             assert step.tobytes() == np.asarray(_compose_xor(box, k).matrix).tobytes()
             assert step.tobytes() == _compose_xor_loop(box, k).tobytes()
             signed_zeros += int(np.sum(np.signbit(step) & (step == 0.0)))
