@@ -13,10 +13,10 @@ CHSH values) is answered on those floats, each sum in the order numpy's
 elementwise operations take, so this module imports no numpy for a box
 given as four lists or tuples of four Python numbers, the form a box file
 and every constructor here give. ``Box.matrix`` is the same table as a
-read-only float ndarray for the modules that compute on arrays, built on
-its first access, which is where numpy is imported. A table in any other
-form (an ndarray, numpy scalars, a wrong shape, entries that are not
-numbers) is read by numpy, and its box keeps the array.
+read-only float ndarray for the modules that compute on arrays, built from
+``rows`` on its first access, which is where numpy is imported. A table in
+any other form (an ndarray, numpy scalars, a wrong shape, entries that are
+not numbers) is read by numpy into the same rows; the box keeps no array.
 
 All comparisons share a single absolute tolerance (default 1e-9). The
 quantities computed here are low-degree polynomials of the table entries,
@@ -92,15 +92,15 @@ class InfeasibleRegionError(RuntimeError):
 _ROW_TYPES = (list, tuple)
 
 
-def _as_rows(values) -> tuple[tuple[tuple[float, ...], ...], np.ndarray | None]:
+def _as_rows(values) -> tuple[tuple[float, ...], ...]:
     """Four rows of four floats from ``values``, which hold ints and floats,
     Python or numpy, and no bools; ``ValueError`` otherwise. NaN and
     infinite entries pass, for ``validate`` to report.
 
     The usual table, four lists or tuples of four Python ints and floats, is
-    read without numpy and returned with None in place of an array. Rows of
-    unequal lengths are refused as not 4x4. Anything else takes
-    ``_as_matrix`` and is returned with its array.
+    read without numpy. Rows of unequal lengths are refused as not 4x4.
+    Anything else is read by ``_as_matrix`` and returned as the rows of its
+    array.
     """
     if type(values) in _ROW_TYPES and all(type(row) in _ROW_TYPES for row in values):
         lengths = set(map(len, values))
@@ -109,18 +109,18 @@ def _as_rows(values) -> tuple[tuple[tuple[float, ...], ...], np.ndarray | None]:
         if (len(values) == 4 and lengths == {4}
                 and all(type(v) is float or type(v) is int for row in values for v in row)):
             try:
-                return tuple(tuple(map(float, row)) for row in values), None
+                return tuple(tuple(map(float, row)) for row in values)
             except OverflowError:
                 pass  # an int too large for a float: _as_matrix gives the message
-    matrix = _as_matrix(values)
-    return tuple(map(tuple, matrix.tolist())), matrix
+    return tuple(map(tuple, _as_matrix(values).tolist()))
 
 
 def _as_matrix(values) -> np.ndarray:
-    """A read-only 4x4 float copy of ``values``, which hold ints and floats,
-    Python or numpy, and no bools; ``ValueError`` otherwise. An ndarray is
-    checked by its dtype, anything else entry by entry. NaN and infinite
-    entries pass, for ``validate`` to report. Imports numpy."""
+    """A 4x4 float array of ``values``, which hold ints and floats, Python or
+    numpy, and no bools; ``ValueError`` otherwise. An ndarray is checked by
+    its dtype, anything else entry by entry. NaN and infinite entries pass,
+    for ``validate`` to report. Only ``_as_rows`` reads the array, so it
+    stays writable. Imports numpy."""
     import numpy as np
 
     if isinstance(values, np.ndarray) and values.dtype.kind not in "iuf":
@@ -139,7 +139,6 @@ def _as_matrix(values) -> np.ndarray:
         kinds = {type(v).__name__ for v in samples if not _is_number(v)}
         if kinds:
             raise ValueError(f"box matrix must hold numbers, got {', '.join(sorted(kinds))}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -148,9 +147,9 @@ class Box:
     """Conditional distribution P(ab|xy): ``rows[xy][ab]``, four rows of four
     Python floats, built from a 4x4 table of numbers by ``_as_rows``.
 
-    ``matrix`` is the same table as a read-only 4x4 float ndarray. A box that
-    ``_as_rows`` read with numpy keeps that array; a box read from plain
-    rows builds it on the first access, which imports numpy.
+    ``matrix`` is the same table as a read-only 4x4 float ndarray, built
+    from ``rows`` on the first access, which imports numpy; ``rows`` is the
+    only form a box stores.
 
     Construction does not check probability constraints; use ``validate``
     to obtain a report, so that broken tables can still be inspected.
@@ -159,10 +158,7 @@ class Box:
     rows: tuple[tuple[float, float, float, float], ...]
 
     def __init__(self, matrix) -> None:
-        rows, array = _as_rows(matrix)
-        object.__setattr__(self, "rows", rows)
-        if array is not None:
-            self.__dict__["matrix"] = array
+        object.__setattr__(self, "rows", _as_rows(matrix))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -448,8 +444,13 @@ def _correlator_rows(rows) -> list[float]:
 
 def _correlators(box: Box) -> Correlators:
     """``correlators`` of a box the caller has already checked, summed row
-    by row in ``_correlator_rows``'s order."""
-    return Correlators(*_correlator_rows(box.rows))
+    by row in ``_correlator_rows``'s order. A correlator that is not finite
+    raises ``InvalidBoxError``: the sum overflows on a box that is valid
+    only at a huge tolerance, such as rows [1e308, -1e308, -1e308, 1e308]."""
+    values = _correlator_rows(box.rows)
+    if not all(map(math.isfinite, values)):
+        raise InvalidBoxError(f"invalid box: correlators {values} are not all finite")
+    return Correlators(*values)
 
 
 def correlators(box: Box, tol: float = DEFAULT_TOL) -> Correlators:

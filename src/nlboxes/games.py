@@ -11,11 +11,12 @@ party XORs its local product with its two box outputs.
 For a resource with CHSH functional S = X00 + X01 + X10 - X11 the win
 probability is q**2 + (1-q)**2 with q = (4 + S) / 8. The authority is the
 literal enumeration in ``_win_probability``, which ``and_game_success``
-runs; tests check the closed form against it. ``play_and_game`` reads the
-same value off a table: the flat cells of the 128 winning products are
-fixed at import in the enumeration's order, and their products are added
-in that order from 0.0 on the box's Python floats, so the result is the
-enumeration's bit for bit, signed zeros included.
+runs on the box's rows; tests check the closed form against it.
+``play_and_game`` reads the same value off a table: the flat cells of the
+128 winning products are fixed at import in the enumeration's order, and
+their products are added in that order from 0.0 on the box's Python
+floats, so the result is the enumeration's bit for bit, signed zeros
+included. Both read Python floats only, so this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ def _played_box(strategy: AndGameStrategy, tol: float) -> Box:
 
 
 def _win_probability(box: Box) -> float:
-    m = box.matrix
+    m = box.rows
     total = 0.0
     for x1, x2, y1, y2 in product((0, 1), repeat=4):
         target = (x1 ^ y1) & (x2 ^ y2)
         for a1, b1, a2, b2 in product((0, 1), repeat=4):
-            p = m[2 * x1 + y2, 2 * a1 + b1] * m[2 * x2 + y1, 2 * a2 + b2]
+            p = m[2 * x1 + y2][2 * a1 + b1] * m[2 * x2 + y1][2 * a2 + b2]
             a = (x1 & x2) ^ a1 ^ a2
             b = (y1 & y2) ^ b1 ^ b2
             if (a ^ b) == target:

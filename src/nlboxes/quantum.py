@@ -90,9 +90,16 @@ def is_quantum_box(box: Box, tol: float = DEFAULT_TOL) -> QuantumVerdict:
     With uniform marginals the correlator criterion settles the question:
     local output randomization realizes any quantum correlator tuple as a
     full box. Otherwise the verdict is flagged ``correlator_level_only``.
+
+    A box valid within ``tol`` can have a correlator up to 5 ``tol`` past
+    [-1, 1], and a little more after rounding: (a - c) + (d - b) is the row
+    sum, at most 1 + tol, less twice b + c, where each entry is at least
+    -tol. So the correlators are clamped into [-1, 1] first, as ``_arcsin``
+    clamps those within ``tol`` of it, and every valid box gets a verdict.
     """
     require_non_signaling(box, tol)
-    ok, slack = is_quantum_correlators(_correlators(box), tol)
+    clamped = (min(1.0, max(-1.0, v)) for v in _correlators(box).as_tuple())
+    ok, slack = is_quantum_correlators(Correlators(*clamped), tol)
     return QuantumVerdict(ok, slack, correlator_level_only=not has_uniform_marginals(box, tol))
 
 

@@ -8,19 +8,26 @@ Averaging a box over the subgroup that fixes the CHSH functional
 S = X00 + X01 + X10 - X11 projects it onto the isotropic line: the result
 has uniform marginals and correlators (eta, eta, eta, -eta) with
 eta = S/4, so S is preserved exactly.
+
+A relabeling has one internal form, its flat cell permutation ``cells``,
+and every function here that takes a box works on the box's Python floats
+through it, so none of them imports numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .boxes import (
     CHSH_SIGNS,
     DEFAULT_TOL,
     Box,
+    InvalidBoxError,
     _is_bit,
     _shown,
     chsh_values,
@@ -90,21 +97,15 @@ def relabelings() -> tuple[Relabeling, ...]:
     )
 
 
+# Per relabeling, in ``relabelings()`` order, the getter of its image's 16
+# flat cells: ``_IMAGE_GETTERS[i](flat)`` is the flat image as a tuple.
+_IMAGE_GETTERS = tuple(itemgetter(*sigma.cells) for sigma in relabelings())
+
 # Coefficients of S on the 16 flat cells: its sign on the correlator of the
 # input pair (row) times that correlator's sign (-1)**(a XOR b) on the output
 # pair (column). Only the stabilizer reads them; S itself is read off the
 # correlators.
 _S_WEIGHTS = tuple(s * t for s in CHSH_SIGNS[0] for t in (1.0, -1.0, -1.0, 1.0))
-
-
-@lru_cache(maxsize=1)
-def _permutations() -> np.ndarray:
-    """Row i is ``relabelings()[i].permutation()``. Imports numpy."""
-    import numpy as np
-
-    table = np.array([sigma.cells for sigma in relabelings()], dtype=np.intp)
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache(maxsize=1)
@@ -140,7 +141,8 @@ def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:
     with S taken from the input box. Each cell adds its images under the
     stabilizer one at a time from 0.0 on the box's Python floats, then
     divides by their count, so rounding and signed zeros follow that one
-    order.
+    order. A sum that overflows, on a box valid only at a huge ``tol``,
+    raises ``InvalidBoxError``.
     """
     require_non_signaling(box, tol)
     flat = [v for row in box.rows for v in row]
@@ -151,6 +153,8 @@ def depolarize(box: Box, tol: float = DEFAULT_TOL) -> Box:
         for c in sources:
             total += flat[c]
         out.append(total / len(sources))
+    if not all(map(math.isfinite, out)):
+        raise InvalidBoxError("invalid box: a depolarized entry is not finite")
     return Box([out[0:4], out[4:8], out[8:12], out[12:16]])
 
 
@@ -158,18 +162,18 @@ def canonical_form(obj: Box | AdaptiveStrategy):
     """Canonical representative of a box orbit or a strategy behavior class.
 
     Boxes are reduced to the lexicographically smallest table over the 64
-    relabelings. Strategies are reduced to the smallest encoding among all
-    strategies with identical observable behavior (same composite box for
-    every non-signaling resource). A box that is not row-stochastic raises
-    ``InvalidBoxError``.
+    relabelings, compared as tuples of the box's Python floats in row-major
+    order; of equal tables (-0.0 equals 0.0) the first relabeling's is kept,
+    with its own bits. Strategies are reduced to the smallest encoding
+    among all strategies with identical observable behavior (same composite
+    box for every non-signaling resource). A box that is not row-stochastic
+    raises ``InvalidBoxError``.
     """
     if isinstance(obj, Box):
-        import numpy as np
-
         require_valid(obj)
-        images = np.asarray(obj.matrix).reshape(16)[_permutations()]
-        # lexsort's last key is the primary one; ties keep the first relabeling.
-        return Box(images[np.lexsort(images.T[::-1])[0]].reshape(4, 4))
+        flat = [v for row in obj.rows for v in row]
+        image = min([get(flat) for get in _IMAGE_GETTERS])  # min keeps the first of equal images
+        return Box([image[0:4], image[4:8], image[8:12], image[12:16]])
     if isinstance(obj, AdaptiveStrategy):
         from .search import canonical_strategy
 

@@ -278,6 +278,45 @@ def test_a_nan_bob_gap_makes_the_box_signaling(command, stdout, stderr, tmp_path
     assert (done.returncode, done.stdout, done.stderr) == (1, stdout, stderr)
 
 
+@pytest.mark.parametrize("command, message", [
+    ("chsh", "invalid box: correlators [inf, inf, inf, inf] are not all finite\n"),
+    ("quantum", "invalid box: correlators [inf, inf, inf, inf] are not all finite\n"),
+    ("game", "invalid box: correlators [inf, inf, inf, inf] are not all finite\n"),
+    ("search", "invalid box: correlators [inf, inf, inf, inf] are not all finite\n"),
+    ("depolarize", "invalid box: a depolarized entry is not finite\n"),
+], ids=["chsh", "quantum", "game", "search", "depolarize"])
+def test_a_box_whose_correlators_or_depolarized_sums_overflow_exits_one(command, message, tmp_path, capsys):
+    # Every row [1e308, -1e308, -1e308, 1e308] sums to 0 and every marginal
+    # is 0, so the box is valid and non-signaling at --tol 1e308; its
+    # correlators (1e308 + 1e308) + (1e308 + 1e308) and its depolarized sums
+    # overflow.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"matrix": [[1e308, -1e308, -1e308, 1e308]] * 4}))
+    assert run(["validate", str(path), "--tol", "1e308"]) == 0
+    capsys.readouterr()
+    assert run([command, str(path), "--tol", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_quantum_gives_a_verdict_on_a_valid_box_whose_correlators_pass_one(tmp_path, capsys):
+    # Each row [0.5 + 5e-10, -5e-10, -5e-10, 0.5 + 5e-10] sums to 1 and is
+    # valid at the default tol, and its correlator 1 + 2e-9 lies past the
+    # 1 + tol that a correlator tuple may reach: a valid box's may reach
+    # 1 + 5 tol. Up to that dust the box is local, so its verdict is quantum.
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"matrix": [[0.5 + 5e-10, -5e-10, -5e-10, 0.5 + 5e-10]] * 4}))
+    assert run(["validate", str(path)]) == 0
+    assert nb.correlators(nb.load_box(str(path))).as_tuple() == (1.0000000020000002,) * 4
+    capsys.readouterr()
+    assert run(["quantum", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "quantum": True, "slack": 0.0, "tsirelson_ok": True, "correlator_level_only": False,
+    }
+
+
 def test_search_json(tmp_path, capsys):
     path = tmp_path / "iso.json"
     path.write_text(nb.isotropic(0.6).to_json())
@@ -404,7 +443,10 @@ def test_optimize_without_a_feasible_point_exits_one(monkeypatch, capsys):
      (["game"], "game needs a box file or --eps"),
      (["game", "--eps", "0.1", "--m", "17"], "--m must be in 1..16, got 17"),
      (["quantum", "--correlators", "0.5,0.5,0.5,-0.5", "--tol", "-1"], "tolerance must be a finite number >= 0, got -1.0"),
-     (["optimize", "--tol", "nan"], "tolerance must be a finite number >= 0, got nan")],
+     (["optimize", "--tol", "nan"], "tolerance must be a finite number >= 0, got nan"),
+     (["quantum", "--correlators", "inf,0,0,0"], "bad correlator values 'inf,0,0,0': correlator inf is not in [-1, 1]"),
+     (["quantum", "--correlators", "1.000000002,1,1,1"],
+      "bad correlator values '1.000000002,1,1,1': correlator 1.000000002 is not in [-1, 1]")],
 )
 def test_usage_errors_exit_two_with_one_line(argv, message, capsys):
     assert run(argv) == 2

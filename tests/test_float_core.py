@@ -21,7 +21,9 @@ import pytest
 import nlboxes as nb
 from nlboxes import games, quantum
 from nlboxes.wiring import _xor_powers
-from conftest import dusty_ns_boxes, near_ns_boxes, ns_vertices, random_ns_box, random_valid_box
+from conftest import (
+    deterministic_vertices, dusty_ns_boxes, near_ns_boxes, ns_vertices, random_ns_box, random_valid_box,
+)
 
 _TOLS = [0.0, 1e-12, 1e-9, 1e-3, 0.5, 1e308]
 
@@ -178,14 +180,14 @@ def test_loader_keeps_every_bit_of_seeded_tables(rng):
             assert _new_outcome(values) == _outcome(_numpy_as_matrix, values)
 
 
-def test_a_box_keeps_the_array_it_was_made_from_and_builds_one_otherwise():
+def test_a_box_stores_only_its_rows_and_builds_its_array_on_first_access():
     arr = np.array(_UNIFORM)
-    box = nb.Box(arr)
-    assert box.matrix is box.matrix and box.matrix is not arr
-    assert box.rows == tuple(map(tuple, _UNIFORM))
-    listed = nb.Box(_UNIFORM)
-    assert "matrix" not in vars(listed)
-    assert listed.matrix is listed.matrix and listed.matrix.tobytes() == box.matrix.tobytes()
+    box, listed = nb.Box(arr), nb.Box(_UNIFORM)
+    for made in (box, listed):
+        assert made.rows == tuple(map(tuple, _UNIFORM))
+        assert "matrix" not in vars(made)
+        assert made.matrix is made.matrix and made.matrix is not arr and not made.matrix.flags.writeable
+    assert listed.matrix.tobytes() == box.matrix.tobytes() == arr.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +321,30 @@ def _numpy_depolarize(box: nb.Box, tol: float = nb.DEFAULT_TOL) -> np.ndarray:
     return (sum(images, 0.0) / len(images)).reshape(4, 4)
 
 
+_NUMPY_PERMUTATIONS = np.stack([_numpy_permutation(sigma) for sigma in nb.relabelings()])
+
+
+def _lexsort_canonical_form(box: nb.Box) -> np.ndarray:
+    nb.require_valid(box)
+    images = np.asarray(box.matrix).reshape(16)[_NUMPY_PERMUTATIONS]
+    # lexsort's last key is the primary one; ties keep the first relabeling.
+    return images[np.lexsort(images.T[::-1])[0]].reshape(4, 4)
+
+
+def _matrix_win_probability(box: nb.Box) -> float:
+    m = box.matrix
+    total = 0.0
+    for x1, x2, y1, y2 in product((0, 1), repeat=4):
+        target = (x1 ^ y1) & (x2 ^ y2)
+        for a1, b1, a2, b2 in product((0, 1), repeat=4):
+            p = m[2 * x1 + y2, 2 * a1 + b1] * m[2 * x2 + y1, 2 * a2 + b2]
+            a = (x1 & x2) ^ a1 ^ a2
+            b = (y1 & y2) ^ b1 ^ b2
+            if (a ^ b) == target:
+                total += p
+    return total / 16.0
+
+
 def _hex(values) -> list[str]:
     return [float.hex(float(v)) for v in np.ravel(values)]
 
@@ -334,7 +360,7 @@ def _float_path_corpus(rng) -> list[nb.Box]:
     boxes = []
     for table in tables:
         boxes += [nb.Box(np.array(table)), nb.Box(np.array(table).tolist())]
-    assert sum("matrix" in vars(b) for b in boxes) == len(tables)  # half keep their array
+    assert not any("matrix" in vars(b) for b in boxes)  # a box stores its rows only
     return boxes
 
 
@@ -359,6 +385,47 @@ def test_float_paths_keep_the_numpy_bits(rng):
     assert signed_zeros >= 30 and dust >= 60
 
 
+_ORBIT_IMAGES = 20
+
+
+def _orbit_corpus(rng) -> list[nb.Box]:
+    """Noise, PR, isotropic, deterministic, dusty and -0.0 boxes, each with
+    ``_ORBIT_IMAGES`` seeded relabeled images of it: 10,206 boxes."""
+    bases = [nb.noise(), nb.pr(), *deterministic_vertices(), *ns_vertices()]
+    bases += [nb.isotropic(eta) for eta in (0.0, 0.5, 1 / math.sqrt(2), 1.0, *rng.uniform(0.0, 1.0, 60))]
+    bases += [random_ns_box(rng) for _ in range(60)] + dusty_ns_boxes(rng, 150)
+    # Vertices whose zeros are all -0.0, and vertices and mixtures with a
+    # seeded half of their zeros -0.0, so that equal images differ in bits.
+    for v in ns_vertices() + [random_ns_box(rng) for _ in range(10)]:
+        m = np.asarray(v.matrix)
+        bases.append(nb.Box(np.where(m == 0.0, -0.0, m)))
+        bases += [nb.Box(np.where((m == 0.0) & (rng.random((4, 4)) < 0.5), -0.0, m)) for _ in range(4)]
+    boxes = []
+    for base in bases:
+        boxes.append(base)
+        boxes += [nb.relabelings()[i].apply(base) for i in rng.integers(64, size=_ORBIT_IMAGES)]
+    return boxes
+
+
+def test_canonical_form_and_win_probability_keep_the_numpy_bits(rng):
+    # Test-local copies of the numpy code: the lexsort over the 64 images of
+    # ``box.matrix``, and the enumeration reading ``box.matrix``.
+    boxes = _orbit_corpus(rng)
+    assert len(boxes) >= 10_000
+    signed_ties = 0
+    for box in boxes:
+        got = nb.canonical_form(box)
+        assert _hex(got.rows) == _hex(_lexsort_canonical_form(box)), box.rows
+        assert float.hex(games._win_probability(box)) == float.hex(_matrix_win_probability(box)), box.rows
+        if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for row in box.rows for v in row):
+            # Smallest images that differ only in the signs of their zeros:
+            # the tie-break picks which one's bits are returned.
+            images = (sigma.apply(box).rows for sigma in nb.relabelings())
+            smallest = {tuple(_hex(rows)) for rows in images if rows == got.rows}
+            signed_ties += len(smallest) > 1
+    assert signed_ties >= 1000
+
+
 def test_float_win_probability_keeps_the_numpy_bits_on_any_table(rng):
     # Not boxes: -0.0 tables and signed entries spanning 1e-170 to 1e149, so
     # that products underflow to signed zeros and sums cancel.
@@ -368,7 +435,9 @@ def test_float_win_probability_keeps_the_numpy_bits_on_any_table(rng):
         for box in (nb.Box(table), nb.Box(table.tolist())):
             with np.errstate(all="ignore"):  # products and sums that overflow
                 want_win, want_powers = _numpy_gathered_win_probability(box), _numpy_xor_powers(box, 16)
+                want_enumerated = _matrix_win_probability(box)
             assert float.hex(games._gathered_win_probability(box)) == float.hex(want_win)
+            assert float.hex(games._win_probability(box)) == float.hex(want_enumerated)
             assert [_hex(step) for step in _xor_powers(box, 16)] == [_hex(step) for step in want_powers]
 
 

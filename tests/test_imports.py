@@ -1,8 +1,9 @@
 """What each entry point imports: the package namespace loads names on first
 use, and each CLI subcommand loads only the modules it calls. ``chsh``,
 ``validate``, ``quantum``, ``distill``, ``game`` and ``depolarize`` answer
-on Python floats and load no numpy; ``search`` reads its box file before it
-loads the search, and with it numpy."""
+on Python floats and load no numpy, and neither do the box functions of
+``symmetry`` and ``games``; ``search`` reads its box file before it loads
+the search, and with it numpy."""
 
 from __future__ import annotations
 
@@ -89,6 +90,25 @@ def test_star_import_binds_every_public_name():
     done = _python("-c", "from nlboxes import *; print(sorted(k for k in dir() if not k.startswith('_')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == repr(sorted(_PUBLIC))
+
+
+def test_box_functions_of_symmetry_and_games_load_no_numpy():
+    # Boxes built from tuples (p_eps) and from lists, each through canonical
+    # form, one relabeling, depolarization and the AND game by enumeration
+    # and by table.
+    code = """
+import sys, nlboxes as nb
+for box in (nb.p_eps(0.1), nb.Box([[0.5, 0, 0, 0.5]] * 3 + [[0, 0.5, 0.5, 0]])):
+    nb.canonical_form(box)
+    nb.relabelings()[37].apply(box)
+    nb.depolarize(box)
+    nb.and_game_success(nb.AndGameStrategy(box, 2))
+    nb.play_and_game(box, 2)
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+"""
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import nlboxes as nb
-from conftest import box_from_correlators
+from conftest import box_from_correlators, dusty_ns_boxes
 
 TOL = 1e-9
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -73,6 +73,17 @@ def test_clamping_avoids_nan_at_saturation():
     ok, slack = nb.is_quantum_correlators(nb.Correlators(wobble, 1.0, 1.0, 1.0))
     assert math.isfinite(slack)
     assert ok  # (1,1,1,1) is reachable: 3*pi/2 - pi/2 = pi
+
+
+def test_every_dusty_box_gets_a_verdict(rng):
+    # Dust in [-tol, 0) can move a vertex's correlators up to 5 tol past
+    # [-1, 1], beyond the 1 + tol that a correlator tuple may reach.
+    boxes = dusty_ns_boxes(rng, 60, TOL)
+    past = [b for b in boxes if max(map(abs, nb.correlators(b, TOL).as_tuple())) > 1.0 + TOL]
+    assert len(past) >= 10
+    for box in boxes:
+        verdict = nb.is_quantum_box(box, TOL)
+        assert math.isfinite(verdict.slack) and verdict.quantum is (verdict.slack <= TOL)
 
 
 def test_tsirelson_necessary_but_not_sufficient():
